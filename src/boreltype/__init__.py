@@ -65,12 +65,7 @@ from .filtration import (
 from .fuzzgen import exchange_closure_ideal, generate_corpus
 from .modfile import parse_module_file, serialize_module
 from .monomial import Monomial, MonomialIdeal, monomial_from_text, monomials_of_degree
-from .regularity import (
-    RegularityReport,
-    RegularityStep,
-    regularity,
-    regularity_oracle_check,
-)
+from .regularity import RegularityReport, RegularityStep, regularity
 from .subquotient import Subquotient
 
 __version__ = "0.1.0"
@@ -128,7 +123,6 @@ __all__ = [
     "reduced_homology_ranks",
     "regular_sequence_holds",
     "regularity",
-    "regularity_oracle_check",
     "run_check",
     "sequential_cm_report",
     "serialize_module",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .borel import borel_verdict
 from .decomposition import dimension_filtration, krull_dim
 from .errors import (
     InternalInconsistencyError,
@@ -110,6 +111,12 @@ def chain_quotients(chain: SequentialChain) -> list[tuple[Subquotient, Subquotie
     return out
 
 
+def reduced_hilbert(chain: SequentialChain, ceiling=None) -> list[list[int]]:
+    """Per step: the Hilbert function of the reduced chain quotient in degrees
+    0..top, top being its last nonvanishing degree."""
+    return [reduced.artinian_hilbert(ceiling) for _, reduced in chain_quotients(chain)]
+
+
 def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:
     """Whether x_{n_step+1}, ..., x_n is a regular sequence on the step quotient.
 
@@ -190,7 +197,7 @@ def dimension_filtration_report(ideal: MonomialIdeal) -> dict:
     n - i is exactly the x_i-torsion, for every i.
     """
     module = Subquotient.cyclic(ideal)
-    if not _borel_cyclic(module):
+    if not borel_verdict(module).is_borel:
         raise NotBorelTypeError(f"S/{ideal} is not of Borel type")
     n = ideal.nvars
     entries = []
@@ -205,12 +212,6 @@ def dimension_filtration_report(ideal: MonomialIdeal) -> dict:
             }
         )
     return {"entries": entries, "ok": all(e["equal"] for e in entries)}
-
-
-def _borel_cyclic(module: Subquotient) -> bool:
-    from .borel import borel_verdict
-
-    return borel_verdict(module).is_borel
 
 
 def iterated_saturation_chain(ideal: MonomialIdeal) -> list[tuple[int, MonomialIdeal]]:

@@ -28,7 +28,6 @@ from .chain import (
     sequential_cm_report,
     torsion_ladder_matches_chain,
 )
-from .decomposition import krull_dim
 from .errors import (
     GuardExceededError,
     InternalInconsistencyError,
@@ -40,6 +39,7 @@ from .filtration import (
     verify_filtration,
 )
 from .modfile import parse_module_file, serialize_module
+from .regularity import regularity
 from .subquotient import Subquotient
 
 EXIT_OK = 0
@@ -104,17 +104,17 @@ def _run_all(module, options, add, report):
             {"ideal_route": ideal_route, "module_route": verdict.is_borel},
         )
         stable_ideal = is_strongly_stable_ideal(ideal)
-        stable_module = is_strongly_stable_module(module)
+        stable_now = is_strongly_stable_module(module)
         add(
             "strongly_stable_agree",
-            "pass" if stable_ideal == stable_module else "fail",
-            {"ideal_route": stable_ideal, "module_route": stable_module},
+            "pass" if stable_ideal == stable_now else "fail",
+            {"ideal_route": stable_ideal, "module_route": stable_now},
         )
     else:
         add("ideal_module_borel_agree", "not_applicable", "module is not cyclic")
         add("strongly_stable_agree", "not_applicable", "module is not cyclic")
+        stable_now = is_strongly_stable_module(module)
 
-    stable_now = is_strongly_stable_module(module)
     add(
         "strongly_stable_implies_borel",
         "pass" if (not stable_now or verdict.is_borel) else "fail",
@@ -214,8 +214,6 @@ def _run_all(module, options, add, report):
             add("depth_vs_oracle", "skipped", str(exc))
             table = None
         if table is not None:
-            from .regularity import regularity
-
             reg_report = regularity(module, ceiling=options.ceiling)
             reg_oracle, _, depth_oracle = oracle_invariants(table)
             add(
@@ -257,10 +255,3 @@ def _run_all(module, options, add, report):
     )
     return EXIT_OK
 
-
-def dimension_depth_summary(module: Subquotient) -> dict:
-    """Dimension data for reports: Krull dimension via associated primes."""
-    return {
-        "dim": krull_dim(module),
-        "zero": module.is_zero(),
-    }

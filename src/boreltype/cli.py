@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 from .betti import DEFAULT_ORACLE_GUARD, BettiTable, betti_table
 from .borel import borel_verdict, is_strongly_stable_module
-from .chain import build_chain, chain_quotients
+from .chain import build_chain, reduced_hilbert
 from .checks import (
     DEFAULT_CEILING,
     EXIT_CHECK_FAILED,
@@ -158,17 +158,14 @@ def _cmd_chain(module: Subquotient, options: CheckOptions):
     chain = build_chain(module)
     n = module.nvars
     steps = []
-    for step, (_, reduced) in zip(chain.steps, chain_quotients(chain)):
-        top = reduced.top_nonzero_degree(ceiling=options.ceiling)
+    for step, values in zip(chain.steps, reduced_hilbert(chain, options.ceiling)):
         steps.append(
             {
                 "variable_index": step.variable_index,
                 "generators": step.ideal.gens_text(),
                 "quotient_dim": n - step.variable_index,
-                "reduced_top_degree": top,
-                "reduced_hilbert": [
-                    [d, reduced.hilbert_function(d)] for d in range(top + 1)
-                ],
+                "reduced_top_degree": len(values) - 1,
+                "reduced_hilbert": [[d, h] for d, h in enumerate(values)],
             }
         )
     report = {
@@ -243,10 +240,6 @@ def _cmd_filtration(module: Subquotient, options: CheckOptions):
     return report, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_check(module: Subquotient, options: CheckOptions):
-    return run_check(module, options)
-
-
 def _cmd_fuzz(args, options: CheckOptions):
     if args.nvars < 2:
         raise ValueError("fuzz needs at least two variables")
@@ -263,14 +256,15 @@ def _cmd_fuzz(args, options: CheckOptions):
             internal += 1
         else:
             failed += 1
-        instances.append(
-            {
-                "index": index,
-                "module": module_json(module),
-                "exit_code": code,
-                "checks": {c["name"]: c["status"] for c in report["checks"]},
-            }
-        )
+        record = {
+            "index": index,
+            "module": module_json(module),
+            "exit_code": code,
+            "checks": {c["name"]: c["status"] for c in report["checks"]},
+        }
+        if "internal_inconsistency" in report:
+            record["internal_inconsistency"] = report["internal_inconsistency"]
+        instances.append(record)
     report = {
         "seed": args.seed,
         "count": args.count,
@@ -293,7 +287,7 @@ _HANDLERS = {
     "chain": _cmd_chain,
     "reg": _cmd_reg,
     "filtration": _cmd_filtration,
-    "check": _cmd_check,
+    "check": run_check,
 }
 
 

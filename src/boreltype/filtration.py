@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .borel import borel_verdict
-from .chain import SequentialChain, build_chain, chain_quotients
+from .chain import SequentialChain, build_chain, reduced_hilbert
 from .decomposition import (
     MonomialPrime,
     associated_primes,
@@ -136,13 +136,12 @@ def filtration_length_report(
     """Per chain step, the number of filtration factors at its prime must be
     the vector-space dimension of the reduced chain quotient."""
     entries = []
-    for step, (_, reduced) in zip(chain.steps, chain_quotients(chain)):
+    for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):
         prime = MonomialPrime(
             chain.base.nvars, tuple(range(1, step.variable_index + 1))
         )
         count = sum(1 for s in filtration.steps if s.prime == prime)
-        top = reduced.top_nonzero_degree(ceiling=ceiling)
-        dimension = sum(reduced.hilbert_function(d) for d in range(top + 1))
+        dimension = sum(values)
         entries.append(
             {
                 "variable_index": step.variable_index,

@@ -253,19 +253,25 @@ class MonomialIdeal:
         return reduce(MonomialIdeal.intersect, parts)
 
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(self : other^infinity), reached by iterating the colon to a fixpoint.
-
-        The iterates form an ascending chain of monomial ideals whose
-        generators live in a fixed exponent box, so the loop terminates.
-        """
+        """(self : other^infinity), the intersection of the saturations at
+        each minimal generator of other."""
         if other.is_zero():
             raise ValueError("saturation by the zero ideal is undefined")
-        current = self
-        while True:
-            bumped = current.colon(other)
-            if bumped == current:
-                return current
-            current = bumped
+        self._check(other)
+        parts = [self._saturate_monomial(u) for u in other.gens]
+        return reduce(MonomialIdeal.intersect, parts)
+
+    def _saturate_monomial(self, u: Monomial) -> "MonomialIdeal":
+        """(self : u^infinity): each minimal generator with its exponents on
+        supp(u) set to zero."""
+        sup = u.support()
+        return MonomialIdeal(
+            self.nvars,
+            tuple(
+                Monomial(tuple(0 if i in sup else e for i, e in enumerate(g.exps, 1)))
+                for g in self.gens
+            ),
+        )
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max of generator exponents; all zero for the zero ideal."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .borel import borel_verdict
-from .chain import SequentialChain, build_chain, chain_quotients
-from .errors import GuardExceededError, NotBorelTypeError, ZeroModuleError
+from .chain import SequentialChain, build_chain, reduced_hilbert
+from .errors import NotBorelTypeError, ZeroModuleError
 from .subquotient import Subquotient
 
 
@@ -60,8 +60,8 @@ def regularity(module: Subquotient, ceiling=None) -> RegularityReport:
     chain = build_chain(module)
     n = module.nvars
     steps = []
-    for step, (_, reduced) in zip(chain.steps, chain_quotients(chain)):
-        top = reduced.top_nonzero_degree(ceiling=ceiling)
+    for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):
+        top = len(values) - 1
         dim = n - step.variable_index
         steps.append(RegularityStep(step.variable_index, top, dim, top - dim))
     return RegularityReport(
@@ -72,34 +72,3 @@ def regularity(module: Subquotient, ceiling=None) -> RegularityReport:
         chain=chain,
     )
 
-
-def regularity_oracle_check(module: Subquotient, oracle_guard=None, field="q") -> dict:
-    """Cross-validate the chain regularity of a cyclic module against the
-    brute-force Betti-number computation on the same ideal.
-
-    Returns a comparison record; reports the oracle as skipped when its
-    enumeration box exceeds the guard.
-    """
-    from .betti import DEFAULT_ORACLE_GUARD, betti_table, oracle_invariants
-
-    if not module.is_cyclic():
-        raise ValueError("the oracle cross-check needs a cyclic module S/I")
-    report = regularity(module)
-    guard = DEFAULT_ORACLE_GUARD if oracle_guard is None else oracle_guard
-    try:
-        table = betti_table(module.denominator, guard=guard, field=field)
-    except GuardExceededError as exc:
-        return {
-            "chain_regularity": report.regularity,
-            "oracle": None,
-            "equal": None,
-            "skipped": str(exc),
-        }
-    reg, pd, depth = oracle_invariants(table)
-    return {
-        "chain_regularity": report.regularity,
-        "oracle": {"regularity": reg, "projective_dimension": pd, "depth": depth},
-        "equal": report.regularity == reg,
-        "depth_equal": report.depth == depth,
-        "skipped": None,
-    }

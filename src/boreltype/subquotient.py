@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotArtinianError, ZeroModuleError
-from .monomial import Monomial, MonomialIdeal, monomials_of_degree
+from .monomial import MonomialIdeal, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,13 @@ class Subquotient:
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         n = self.nvars
-        gens: list[Monomial] = []
+        gens = list(self.denominator.gens)
         for g in self.numerator.gens:
             if g.degree >= degree:
                 gens.append(g)
             else:
                 gens.extend(g.mul(m) for m in monomials_of_degree(n, degree - g.degree))
-        raised = MonomialIdeal(n, tuple(gens)).add(self.denominator)
-        return Subquotient(raised, self.denominator)
+        return Subquotient(MonomialIdeal(n, tuple(gens)), self.denominator)
 
     def hilbert_function(self, degree: int) -> int:
         """Number of monomials of the given degree in the numerator but not
@@ -106,8 +105,9 @@ class Subquotient:
         lowered = self.denominator.add(trailing.multiply(self.numerator))
         return Subquotient(self.numerator, lowered)
 
-    def top_nonzero_degree(self, gen_degree_bound=None, ceiling=None) -> int:
-        """Largest degree with a nonzero Hilbert function, for Artinian modules.
+    def artinian_hilbert(self, ceiling=None) -> list[int]:
+        """The Hilbert function in degrees 0..top, for Artinian modules; its
+        last entry is the top nonvanishing degree's value.
 
         The scan may stop at the first vanishing degree at or past the maximum
         generator degree of the numerator: past that point every graded piece
@@ -118,26 +118,21 @@ class Subquotient:
         if self.is_zero():
             raise ZeroModuleError("the zero module has no top degree")
         bound = self.numerator.max_gen_degree()
-        if gen_degree_bound is not None:
-            if gen_degree_bound < bound:
-                raise ValueError(
-                    f"generator degree bound {gen_degree_bound} is below the "
-                    f"actual maximum {bound}"
-                )
-            bound = gen_degree_bound
         if ceiling is None:
             ceiling = max(10 * max(bound, 1), 40)
         ceiling = max(ceiling, bound)
+        values: list[int] = []
         last = None
         for d in range(ceiling + 2):
             h = self.hilbert_function(d)
+            values.append(h)
             if h > 0:
                 last = d
             elif d >= bound:
                 # nonzero module: some numerator generator survives, so a
                 # nonzero value was seen before this point
                 assert last is not None
-                return last
+                return values[: last + 1]
             if d > ceiling:
                 raise NotArtinianError(
                     f"Hilbert function does not vanish up to degree {ceiling}; "

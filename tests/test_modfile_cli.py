@@ -213,6 +213,27 @@ class TestCliCommands:
         agg = report["aggregate"]
         assert agg["instances"] == 5 and agg["passed"] == 5
         assert len(report["instances"]) == 5
+        assert all("internal_inconsistency" not in r for r in report["instances"])
+
+    def test_fuzz_record_carries_internal_inconsistency(self, capsys):
+        # instance 28 is I = (x4^2, x1^2*x3*x4, x1^3), J = (x1^3): of Borel
+        # type but not sequentially Cohen-Macaulay, so no witness exists
+        code, report, _ = run_cli(
+            capsys, "fuzz", "--seed", "5", "--count", "29", "--gen", "random",
+            "--vars", "4", "--maxdeg", "4",
+        )
+        assert code == 2 and report["aggregate"]["internal"] == 1
+        record = report["instances"][28]
+        assert record["module"] == {
+            "vars": 4,
+            "numerator": ["x4^2", "x1^2*x3*x4", "x1^3"],
+            "denominator": ["x1^3"],
+        }
+        assert record["exit_code"] == 2
+        assert record["internal_inconsistency"].startswith("no witness with colon (x1)")
+        assert all(
+            "internal_inconsistency" not in r for r in report["instances"][:28]
+        )
 
 
 class TestCliErrors:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -170,13 +171,41 @@ class TestIdealArithmetic:
         assert once.contains(ideal)
         assert once.colon_monomial(m) == ideal.colon_monomial(m.mul(m))
 
-    @given(gens=raw_ideals(3), sat=raw_ideals(3, max_gens=2))
+    def test_saturate_by_unit_and_prefix(self):
+        ideal = I(3, "x1^2*x3", "x2^3", "x1*x2*x3^2")
+        assert ideal.saturate(MonomialIdeal.unit(3)) == ideal
+        assert ideal.saturate(MonomialIdeal.prefix(3, 1)) == I(3, "x3", "x2^3")
+        assert ideal.saturate(MonomialIdeal.prefix(3, 2)) == I(3, "x3", "x2^3")
+        assert ideal.saturate(MonomialIdeal.prefix(3, 3)) == I(
+            3, "x1^2*x3", "x1*x2*x3", "x2^3"
+        )
+
+    def test_saturation_parity_squarefree_supports(self):
+        # a saturation depends only on the supports of the saturating
+        # generators: try every set of at most three squarefree ones, where
+        # dropping any single principal saturation shows on (x1x2, x1x3, x2x3)
+        squarefree = [t for t in tuples_up_to(3, 3) if any(t) and max(t) == 1]
+        for gens in ([(1, 1, 0), (1, 0, 1), (0, 1, 1)], [(2, 0, 1), (0, 3, 0), (1, 1, 2)]):
+            ideal = ideal_of(3, gens)
+            for r in (1, 2, 3):
+                for sat in itertools.combinations(squarefree, r):
+                    result = ideal.saturate(ideal_of(3, sat))
+                    power = r * max(ideal.max_exponents())
+                    for m in tuples_up_to(3, 4):
+                        assert result.member(Monomial(m)) == raw_saturation_member(
+                            m, gens, sat, power
+                        ), (gens, sat, m)
+
+    @given(gens=raw_ideals(3), sat=raw_ideals(3, max_gens=3))
     @settings(deadline=None, max_examples=60)
     def test_saturation_parity(self, gens, sat):
         ideal = ideal_of(3, gens)
         result = ideal.saturate(ideal_of(3, sat))
         assert result.saturate(ideal_of(3, sat)) == result
-        power = 1 + sum(ideal.max_exponents())
+        # m is in the saturation iff m * u^e lies in the ideal for every
+        # generator u, with e the largest exponent of the ideal; a product of
+        # len(sat) * e generators repeats one of them e times
+        power = len(sat) * max(ideal.max_exponents())
         for m in tuples_up_to(3, 4):
             assert result.member(Monomial(m)) == raw_saturation_member(
                 m, gens, sat, power

@@ -13,8 +13,9 @@ from boreltype import (
     betti_table,
     oracle_invariants,
     regularity,
-    regularity_oracle_check,
+    run_check,
 )
+from boreltype.checks import CheckOptions
 from boreltype.errors import NotBorelTypeError, ZeroModuleError
 from boreltype.monomial import box_size
 
@@ -66,23 +67,34 @@ class TestGoldenValues:
             regularity(cyclic(2, "x2"))
 
 
+def _oracle_checks(module, **options):
+    report, code = run_check(module, CheckOptions(**options))
+    checks = {c["name"]: c for c in report["checks"]}
+    return code, checks["regularity_vs_oracle"], checks["depth_vs_oracle"]
+
+
 class TestOracleCheck:
     def test_golden_agreement(self):
-        out = regularity_oracle_check(cyclic(2, "x1^2", "x1*x2"))
-        assert out["skipped"] is None
-        assert out["chain_regularity"] == 1
-        assert out["oracle"]["regularity"] == 1
-        assert out["equal"] and out["depth_equal"]
+        code, reg, depth = _oracle_checks(cyclic(2, "x1^2", "x1*x2"))
+        assert code == 0
+        assert reg["status"] == "pass" and depth["status"] == "pass"
+        assert reg["detail"] == {"chain": 1, "oracle": 1}
+        assert depth["detail"] == {"chain": 0, "oracle": 0}
 
     def test_guard_skips(self):
-        out = regularity_oracle_check(cyclic(2, "x1^2", "x1*x2"), oracle_guard=1)
-        assert out["skipped"] is not None
-        assert out["oracle"] is None and out["equal"] is None
-        assert out["chain_regularity"] == 1
+        code, reg, depth = _oracle_checks(cyclic(2, "x1^2", "x1*x2"), oracle_guard=1)
+        assert code == 0
+        assert reg["status"] == "skipped" and depth["status"] == "skipped"
+        assert "exceeds the guard 1" in reg["detail"]
+        assert regularity(cyclic(2, "x1^2", "x1*x2")).regularity == 1
 
     def test_non_cyclic_rejected(self):
-        with pytest.raises(ValueError):
-            regularity_oracle_check(Subquotient(I(2, "x1"), I(2, "x1^2", "x1*x2")))
+        # the oracle handles S/I only; a subquotient gets no oracle verdict
+        M = Subquotient(I(2, "x1"), I(2, "x1^2", "x1*x2"))
+        code, reg, depth = _oracle_checks(M)
+        assert code == 0
+        assert reg["status"] == "not_applicable"
+        assert depth["status"] == "not_applicable"
 
     def test_oracle_alone_on_non_borel_input(self):
         # the chain route refuses S/(x1*x2) since (x2) is an associated
@@ -93,8 +105,9 @@ class TestOracleCheck:
         assert (reg, pd, depth) == (1, 1, 1)
 
     def test_f2_field_agrees_on_golden(self):
-        out = regularity_oracle_check(cyclic(2, "x1^2", "x1*x2"), field="f2")
-        assert out["equal"] and out["depth_equal"]
+        code, reg, depth = _oracle_checks(cyclic(2, "x1^2", "x1*x2"), field="f2")
+        assert code == 0
+        assert reg["status"] == "pass" and depth["status"] == "pass"
 
 
 class TestCorpusProperties:
@@ -105,10 +118,10 @@ class TestCorpusProperties:
                 continue
             if box_size(e + 1 for e in M.denominator.max_exponents()) > 4096:
                 continue
-            out = regularity_oracle_check(M)
-            assert out["skipped"] is None
-            assert out["equal"], (M, out)
-            assert out["depth_equal"], (M, out)
+            report = regularity(M)
+            reg, _, depth = oracle_invariants(betti_table(M.denominator))
+            assert report.regularity == reg, (M, report, reg)
+            assert report.depth == depth, (M, report, depth)
             checked += 1
             if checked >= 40:
                 break

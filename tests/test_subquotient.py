@@ -173,28 +173,23 @@ class TestArtinianReduction:
 class TestTopDegree:
     def test_golden(self):
         N = Subquotient(I(2, "x1"), I(2, "x1^2", "x1*x2"))
-        assert N.top_nonzero_degree() == 1
-        assert Subquotient.cyclic(I(2, "x1", "x2")).top_nonzero_degree() == 0
+        assert N.artinian_hilbert() == [0, 1]
+        assert Subquotient.cyclic(I(2, "x1", "x2")).artinian_hilbert() == [1]
 
     def test_not_artinian(self):
         with pytest.raises(NotArtinianError):
-            Subquotient.cyclic(I(2, "x1")).top_nonzero_degree()
+            Subquotient.cyclic(I(2, "x1")).artinian_hilbert()
 
     def test_zero_module_rejected(self):
         with pytest.raises(ZeroModuleError):
-            Subquotient(I(2, "x1"), I(2, "x1")).top_nonzero_degree()
-
-    def test_explicit_bound_validated(self):
-        N = Subquotient(I(2, "x1"), I(2, "x1^2", "x1*x2"))
-        with pytest.raises(ValueError):
-            N.top_nonzero_degree(gen_degree_bound=0)
+            Subquotient(I(2, "x1"), I(2, "x1")).artinian_hilbert()
 
     def test_gap_past_bound_is_final(self):
         # numerator generated in degrees <= 2 with a Hilbert gap right after:
         # the scan must not stop before the generator bound
         N = Subquotient(I(2, "x1", "x2^2"), I(2, "x1^2", "x1*x2", "x2^3"))
         assert [N.hilbert_function(d) for d in range(4)] == [0, 1, 1, 0]
-        assert N.top_nonzero_degree() == 2
+        assert N.artinian_hilbert() == [0, 1, 1]
 
 
 class TestQuotientBy:
