@@ -105,22 +105,44 @@ def ideal_is_borel_type(ideal: MonomialIdeal) -> bool:
     return True
 
 
+def _killed_by_variables(module: Subquotient) -> list[MonomialIdeal]:
+    """K_i = (J : x_i) meet I for i = 1..n (index 0 unused): K_i/J is the
+    submodule of M = I/J killed by x_i."""
+    n = module.nvars
+    num, den = module.numerator, module.denominator
+    return [None] + [
+        den.colon_monomial(Monomial.variable(i, n)).intersect(num)
+        for i in range(1, n + 1)
+    ]
+
+
+def _truncation_is_stable(killed: list[MonomialIdeal], e: int) -> bool:
+    """Whether M_{>=e} is strongly stable, given K_i from _killed_by_variables.
+
+    Every monomial of degree >= e in K_i must lie in K_j for all j < i.  Those
+    monomials are generated by g*w, g a minimal generator of K_i and w any
+    monomial of degree max(0, e - deg g).
+    """
+    n = len(killed) - 1
+    for i in range(2, n + 1):
+        for g in killed[i].gens:
+            shifts = monomials_of_degree(n, max(0, e - g.degree))
+            for j in range(1, i):
+                if killed[j].member(g):
+                    continue
+                if not all(killed[j].member(g.mul(w)) for w in shifts):
+                    return False
+    return True
+
+
 def is_strongly_stable_module(module: Subquotient) -> bool:
     """Whether the annihilator-of-x_i submodules shrink as i grows.
 
     The submodule of M = I/J killed by x_i is ((J : x_i) meet I)/J, so the
-    condition is an ideal containment for every pair j < i.
+    condition is an ideal containment for every pair j < i: the truncation
+    test at degree 0.
     """
-    n = module.nvars
-    num, den = module.numerator, module.denominator
-    killed = [None]
-    for i in range(1, n + 1):
-        killed.append(den.colon_monomial(Monomial.variable(i, n)).intersect(num))
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            if not killed[j].contains(killed[i]):
-                return False
-    return True
+    return _truncation_is_stable(_killed_by_variables(module), 0)
 
 
 def is_strongly_stable_ideal(ideal: MonomialIdeal) -> bool:
@@ -142,6 +164,19 @@ def truncation_stability_degree(module: Subquotient, e_max=None):
 
     A strongly stable truncation forces the module itself to be of Borel type;
     finding one for a non-Borel module is an implementation defect and raises.
+
+    No truncated module is built.  M_{>=e} = (I_{>=e} + J)/J, and its
+    submodule killed by x_i is ((J : x_i) meet (I_{>=e} + J))/J.  Monomial
+    ideals form a distributive lattice and J lies in J : x_i, so with
+    K_i = (J : x_i) meet I
+
+        (J : x_i) meet (I_{>=e} + J) = ((J : x_i) meet I)_{>=e} + J = (K_i)_{>=e} + J.
+
+    The containment (K_j)_{>=e} + J >= (K_i)_{>=e} + J only has to be tested on
+    the monomials of (K_i)_{>=e}, which all have degree >= e; a monomial of
+    degree >= e lies in (K_j)_{>=e} + J exactly when it lies in K_j, because
+    J is contained in K_j.  So J drops out, and the test at every degree reads
+    the ideals K_i computed once per module.
     """
     if e_max is None:
         e_max = (
@@ -153,8 +188,9 @@ def truncation_stability_degree(module: Subquotient, e_max=None):
         )
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
+    killed = _killed_by_variables(module)
     for e in range(e_max + 1):
-        if is_strongly_stable_module(module.truncate(e)):
+        if _truncation_is_stable(killed, e):
             if not borel_verdict(module).is_borel:
                 raise InternalInconsistencyError(
                     f"truncation at degree {e} of {module} is strongly stable "

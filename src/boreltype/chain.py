@@ -111,10 +111,21 @@ def chain_quotients(chain: SequentialChain) -> list[tuple[Subquotient, Subquotie
     return out
 
 
-def reduced_hilbert(chain: SequentialChain, ceiling=None) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def reduced_hilbert(
+    chain: SequentialChain, ceiling=None
+) -> tuple[tuple[int, ...], ...]:
     """Per step: the Hilbert function of the reduced chain quotient in degrees
-    0..top, top being its last nonvanishing degree."""
-    return [reduced.artinian_hilbert(ceiling) for _, reduced in chain_quotients(chain)]
+    0..top, top being its last nonvanishing degree.
+
+    Memoized like build_chain, since regularity and the filtration length
+    report both read it for the same chain; tuples keep the shared value
+    immutable.
+    """
+    return tuple(
+        tuple(reduced.artinian_hilbert(ceiling))
+        for _, reduced in chain_quotients(chain)
+    )
 
 
 def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:

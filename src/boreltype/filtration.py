@@ -69,9 +69,8 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
                 max(a, b)
                 for a, b in zip(target.max_exponents(), current.max_exponents())
             )
-            candidates = sorted(box_monomials(bounds), key=lambda m: (m.degree, m.exps))
             witness = None
-            for m in candidates:
+            for m in box_monomials(bounds):
                 if not target.member(m) or current.member(m):
                     continue
                 if current.colon_monomial(m) == prime_ideal:

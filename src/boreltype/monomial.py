@@ -331,6 +331,8 @@ def ensure_box(bounds, guard: int, context: str) -> None:
 
 @lru_cache(maxsize=None)
 def box_monomials(bounds: tuple[int, ...]) -> tuple[Monomial, ...]:
-    """All monomials with exponents componentwise at most bounds, in lex order."""
+    """All monomials with exponents componentwise at most bounds, ordered by
+    degree, then lexicographically by exponents."""
     ranges = [range(b + 1) for b in bounds]
-    return tuple(Monomial(e) for e in itertools.product(*ranges))
+    exps = sorted(itertools.product(*ranges), key=lambda e: (sum(e), e))
+    return tuple(Monomial(e) for e in exps)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boreltype import (
     Monomial,
@@ -17,7 +20,7 @@ from boreltype import (
     torsion_identity_report,
     truncation_stability_degree,
 )
-from boreltype.errors import NotBorelTypeError
+from boreltype.errors import InternalInconsistencyError, NotBorelTypeError
 
 from .support import modules, monomial_ideals
 
@@ -187,6 +190,34 @@ class TestTruncationCriterion:
         if e is not None:
             assert borel_verdict(M).is_borel
             assert is_strongly_stable_module(M.truncate(e))
+
+    def test_golden_subquotient_needs_positive_degree(self):
+        # M = (x1)/(x1*x2, x1^3) has basis x1, x1^2.  x2 kills all of M but
+        # x1 does not kill x1, so M and M_{>=1} are not strongly stable;
+        # M_{>=2} is spanned by x1^2, which both variables kill.
+        M = Subquotient(I(2, "x1"), I(2, "x1*x2", "x1^3"))
+        assert not is_strongly_stable_module(M.truncate(1))
+        assert is_strongly_stable_module(M.truncate(2))
+        assert truncation_stability_degree(M) == 2
+        assert truncation_stability_degree(M, 1) is None
+
+    @given(M=modules(max_vars=3), e_max=st.integers(0, 6))
+    @settings(deadline=None, max_examples=60)
+    def test_least_degree_matches_truncated_modules(self, M, e_max):
+        expected = next(
+            (e for e in range(e_max + 1) if is_strongly_stable_module(M.truncate(e))),
+            None,
+        )
+        assert truncation_stability_degree(M, e_max) == expected
+
+    def test_stable_truncation_of_non_borel_verdict_raises(self, monkeypatch):
+        import boreltype.borel as borel_module
+
+        M = Subquotient.cyclic(I(2, "x1^2", "x1*x2"))
+        verdict = dataclasses.replace(borel_verdict(M), by_saturation=False)
+        monkeypatch.setattr(borel_module, "borel_verdict", lambda module: verdict)
+        with pytest.raises(InternalInconsistencyError, match="degree 0"):
+            truncation_stability_degree(M)
 
 
 class TestTorsionIdentities:

@@ -15,9 +15,11 @@ from boreltype import (
     iterated_saturation_chain,
     krull_dim,
     regular_sequence_holds,
+    run_check,
     sequential_cm_report,
     torsion_ladder_matches_chain,
 )
+from boreltype.chain import reduced_hilbert
 from boreltype.errors import NotBorelTypeError, ZeroModuleError
 
 from .support import monomial_ideals
@@ -73,6 +75,29 @@ class TestQuotients:
         q2, q2bar = pairs[1]
         assert q2 == cyclic(2, "x1")
         assert q2bar == cyclic(2, "x1", "x2")
+
+    def test_golden_reduced_hilbert(self):
+        chain = build_chain(cyclic(2, "x1^2", "x1*x2"))
+        assert reduced_hilbert(chain) == ((0, 1), (1,))
+
+    def test_check_scans_reduced_quotients_once(self, monkeypatch):
+        # regularity and the filtration length report read the same scan
+        M = cyclic(3, "x1^3", "x2^3", "x3^3", "x1*x2")
+        scans = []
+        original = Subquotient.artinian_hilbert
+
+        def counted(self, *args, **kwargs):
+            scans.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Subquotient, "artinian_hilbert", counted)
+        reduced_hilbert.cache_clear()
+        report, code = run_check(M)
+        assert code == 0
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["regularity_vs_oracle"] == "pass"
+        assert statuses["filtration_length"] == "pass"
+        assert len(scans) == len(build_chain(M))
 
     def test_quotients_are_nonzero(self):
         chain = build_chain(cyclic(3, "x1", "x2^2", "x2*x3"))

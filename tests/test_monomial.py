@@ -235,6 +235,12 @@ class TestEnumeration:
         assert len(set(box)) == 6
         assert all(m.exps <= (2, 1) for m in box)
 
+    def test_box_monomials_order(self):
+        # by degree, then lexicographically: the witness search's order
+        assert [m.exps for m in box_monomials((1, 2))] == [
+            (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)
+        ]
+
     def test_guard(self):
         with pytest.raises(GuardExceededError):
             ensure_box((100, 100, 100), 1000, "test")
