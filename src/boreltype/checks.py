@@ -17,7 +17,6 @@ from .borel import (
     borel_verdict,
     ideal_is_borel_type,
     is_strongly_stable_ideal,
-    is_strongly_stable_module,
     torsion_identity_report,
     truncation_stability_degree,
 )
@@ -94,6 +93,11 @@ def _run_all(module, options, add, report):
     report["verdict"] = verdict.to_json()
     add("borel_criteria_agree", "pass", {"borel_type": verdict.is_borel})
 
+    # raises InternalInconsistencyError when a stable truncation contradicts
+    # a non-Borel verdict; M_{>=0} = M, so degree 0 decides strong stability
+    e_found = truncation_stability_degree(module, options.e_max)
+    stable_now = e_found == 0
+
     cyclic_proper = module.is_cyclic() and not module.is_zero()
     if cyclic_proper:
         ideal = module.denominator
@@ -104,7 +108,6 @@ def _run_all(module, options, add, report):
             {"ideal_route": ideal_route, "module_route": verdict.is_borel},
         )
         stable_ideal = is_strongly_stable_ideal(ideal)
-        stable_now = is_strongly_stable_module(module)
         add(
             "strongly_stable_agree",
             "pass" if stable_ideal == stable_now else "fail",
@@ -113,7 +116,6 @@ def _run_all(module, options, add, report):
     else:
         add("ideal_module_borel_agree", "not_applicable", "module is not cyclic")
         add("strongly_stable_agree", "not_applicable", "module is not cyclic")
-        stable_now = is_strongly_stable_module(module)
 
     add(
         "strongly_stable_implies_borel",
@@ -121,9 +123,6 @@ def _run_all(module, options, add, report):
         {"strongly_stable": stable_now, "borel_type": verdict.is_borel},
     )
 
-    # raises InternalInconsistencyError when a stable truncation contradicts
-    # a non-Borel verdict
-    e_found = truncation_stability_degree(module, options.e_max)
     add("truncation_stability", "pass", {"degree": e_found})
 
     roundtrip = parse_module_file(serialize_module(module))

@@ -20,7 +20,12 @@ from dataclasses import asdict
 
 from .betti import DEFAULT_ORACLE_GUARD, BettiTable, betti_table
 from .borel import borel_verdict, is_strongly_stable_module
-from .chain import build_chain, reduced_hilbert
+from .chain import (
+    SequentialChain,
+    build_chain,
+    reduced_hilbert,
+    sequential_cm_report,
+)
 from .checks import (
     DEFAULT_CEILING,
     EXIT_CHECK_FAILED,
@@ -134,6 +139,29 @@ def _require_borel(module: Subquotient, command: str) -> None:
         )
 
 
+def _require_sequentially_cm(module: Subquotient, command: str) -> SequentialChain:
+    """The chain of a nonzero Borel-type module that is sequentially
+    Cohen-Macaulay, the hypothesis every number read off the chain rests on."""
+    _require_borel(module, command)
+    chain = build_chain(module)
+    report = sequential_cm_report(chain)
+    regular = report["regular_sequences"]
+    for k, (step, holds) in enumerate(zip(chain.steps, regular), 1):
+        if not holds:
+            r = step.variable_index
+            trailing = ", ".join(f"x{i}" for i in range(r + 1, module.nvars + 1))
+            raise ValueError(
+                f"{command} needs a sequentially Cohen-Macaulay module; at chain "
+                f"step {k}, {trailing} is not a regular sequence on the step quotient"
+            )
+    if not report["ok"]:
+        raise InternalInconsistencyError(
+            f"chain quotient dimensions {report['quotient_dims']} of a Borel-type "
+            f"module are not {report['expected_dims']}"
+        )
+    return chain
+
+
 def _cmd_analyze(module: Subquotient, options: CheckOptions):
     verdict = borel_verdict(module)
     report = {
@@ -154,8 +182,7 @@ def _cmd_analyze(module: Subquotient, options: CheckOptions):
 
 
 def _cmd_chain(module: Subquotient, options: CheckOptions):
-    _require_borel(module, "chain")
-    chain = build_chain(module)
+    chain = _require_sequentially_cm(module, "chain")
     n = module.nvars
     steps = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, options.ceiling)):
@@ -177,7 +204,7 @@ def _cmd_chain(module: Subquotient, options: CheckOptions):
 
 
 def _cmd_reg(module: Subquotient, options: CheckOptions):
-    _require_borel(module, "reg")
+    _require_sequentially_cm(module, "reg")
     report = regularity(module, ceiling=options.ceiling).to_json()
     if module.is_cyclic():
         # reg(I) = reg(S/I) + 1 for a proper nonzero monomial ideal

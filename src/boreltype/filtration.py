@@ -1,12 +1,16 @@
 """Prime filtrations of Borel-type modules with non-increasing primes.
 
-The builder walks the sequential chain from the bottom; inside chain step ell
-every appended cyclic factor is S modulo the initial-segment prime
-(x1..x_{n_ell}).  Witnesses are monomials m with (current : m) equal to that
-prime exactly, searched in a bounded exponent box smallest-degree-first.  The
-resulting filtration has non-increasing primes, hence is pretty clean, and its
-per-step counts match the vector-space dimensions of the reduced chain
-quotients.
+The builder walks the sequential chain from the bottom.  In chain step r each
+appended factor is S/P, P = (x1..xr), so a witness m in target outside current
+needs (current : m) = P: m lies in current : P and outside the saturation
+current : (x_{r+1}...x_n)^infinity.  Let D_i be generated by g/x_i over the
+generators g of current divisible by x_i, so current : x_i = current + D_i.
+As current lies in target, distributivity of monomial ideals gives
+target meet (current : P) = current + A, A = target meet D_1 meet ... meet D_r.
+The least monomial of an ideal outside another ideal is a minimal generator
+of the first, so the least witness in (degree, exponents) order is one of A's
+generators.  The filtration is pretty clean, and its per-step counts match
+the dimensions of the reduced chain quotients.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .decomposition import (
     prime_sort_key,
 )
 from .errors import NotBorelTypeError, WitnessExhaustionError, ZeroModuleError
-from .monomial import Monomial, MonomialIdeal, box_monomials
+from .monomial import Monomial, MonomialIdeal
 from .subquotient import Subquotient
 
 
@@ -48,9 +52,14 @@ class PrimeFiltration:
 def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     """Build a prime filtration with non-increasing primes for a Borel module.
 
-    Raises WitnessExhaustionError when no monomial in the search box has the
-    required colon; for Borel-type input that cannot happen, so it is treated
-    as a defect signal by the orchestrator.
+    In chain step r the witness is the least minimal generator, by (degree,
+    exponents), of A = target meet D_1 meet ... meet D_r that lies outside
+    current : (x_{r+1}...x_n)^infinity: the monomial a scan of the exponent
+    box of target and current would find first.  A is built from the D_i,
+    not current.colon(P), which in a prototype made this layer three times
+    slower than the box scan on check-stable.  Raises WitnessExhaustionError
+    when no generator qualifies, as on Borel-type modules that are not
+    sequentially Cohen-Macaulay.
     """
     if module.is_zero():
         raise ZeroModuleError("the zero module has no prime filtration")
@@ -61,26 +70,24 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     steps: list[FiltrationStep] = []
     current = module.denominator
     for step in chain.steps:
-        prime = MonomialPrime(n, tuple(range(1, step.variable_index + 1)))
-        prime_ideal = prime.to_ideal()
+        r = step.variable_index
+        prime = MonomialPrime(n, tuple(range(1, r + 1)))
         target = step.ideal
         while current != target:
-            bounds = tuple(
-                max(a, b)
-                for a, b in zip(target.max_exponents(), current.max_exponents())
-            )
-            witness = None
-            for m in box_monomials(bounds):
-                if not target.member(m) or current.member(m):
-                    continue
-                if current.colon_monomial(m) == prime_ideal:
-                    witness = m
-                    break
-            if witness is None:
+            admissible = target
+            for i in range(r, 0, -1):  # D_r first keeps the intersections small
+                x = Monomial.variable(i, n)
+                shifted = tuple(g.div(x) for g in current.gens if x.divides(g))
+                admissible = admissible.intersect(MonomialIdeal(n, shifted))
+            # generators of current : (x_{r+1}...x_n)^infinity
+            sat = [Monomial(h.exps[:r] + (0,) * (n - r)) for h in current.gens]
+            outside = [g for g in admissible.gens if not any(s.divides(g) for s in sat)]
+            if not outside:
                 raise WitnessExhaustionError(
                     f"no witness with colon ({prime}) while extending {current} "
                     f"toward {target}"
                 )
+            witness = min(outside, key=lambda g: (g.degree, g.exps))
             current = current.add(MonomialIdeal.principal(witness))
             steps.append(FiltrationStep(current, witness, prime))
     return PrimeFiltration(module, tuple(steps))

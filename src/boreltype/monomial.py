@@ -13,7 +13,6 @@ or the keyword ``unit``.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -328,11 +327,3 @@ def ensure_box(bounds, guard: int, context: str) -> None:
             f"{context}: enumeration box of size {size} exceeds the guard {guard}"
         )
 
-
-@lru_cache(maxsize=None)
-def box_monomials(bounds: tuple[int, ...]) -> tuple[Monomial, ...]:
-    """All monomials with exponents componentwise at most bounds, ordered by
-    degree, then lexicographically by exponents."""
-    ranges = [range(b + 1) for b in bounds]
-    exps = sorted(itertools.product(*ranges), key=lambda e: (sum(e), e))
-    return tuple(Monomial(e) for e in exps)

@@ -84,6 +84,49 @@ def _prod(monomials, nvars):
     return out
 
 
+def raw_colon(gens, m):
+    """Minimal generators of (gens : m)."""
+    return raw_minimalize([tuple(max(a, b) - b for a, b in zip(g, m)) for g in gens])
+
+
+def raw_witness(current, target, r: int):
+    """The first monomial of the exponent box of current and target, in
+    (degree, exponents) order, that lies in target and outside current and
+    whose colon in current is exactly (x1, ..., xr); None when there is none."""
+    nvars = len(target[0])
+    prime = sorted(tuple(int(i == k) for i in range(nvars)) for k in range(r))
+    bounds = [max(g[i] for g in current + target) for i in range(nvars)]
+    box = itertools.product(*(range(b + 1) for b in bounds))
+    for m in sorted(box, key=lambda e: (sum(e), e)):
+        if (
+            raw_member(m, target)
+            and not raw_member(m, current)
+            and raw_colon(current, m) == prime
+        ):
+            return m
+    return None
+
+
+def raw_witnesses(denominator, chain):
+    """The witness sequence of the box scan along a chain given as
+    (variable index r, target generators) per step.
+
+    Returns (witnesses, stuck): stuck is None, or (r, current, target) at the
+    first extension without a witness.
+    """
+    current = raw_minimalize(denominator)
+    witnesses = []
+    for r, target in chain:
+        target = raw_minimalize(target)
+        while current != target:
+            m = raw_witness(current, target, r)
+            if m is None:
+                return witnesses, (r, current, target)
+            witnesses.append(m)
+            current = raw_minimalize(current + [m])
+    return witnesses, None
+
+
 def ideal_of(nvars: int, raw_gens) -> MonomialIdeal:
     return MonomialIdeal(nvars, tuple(Monomial(tuple(g)) for g in raw_gens))
 

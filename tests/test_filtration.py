@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from boreltype import (
     FiltrationStep,
@@ -13,13 +15,15 @@ from boreltype import (
     MonomialPrime,
     PrimeFiltration,
     Subquotient,
+    borel_verdict,
     build_chain,
     filtration_length_report,
     pretty_clean_filtration,
     verify_filtration,
 )
-from boreltype.errors import NotBorelTypeError, ZeroModuleError
-from boreltype.monomial import box_monomials
+from boreltype.errors import NotBorelTypeError, WitnessExhaustionError, ZeroModuleError
+
+from .support import gens_of, ideal_of, modules, raw_witnesses
 
 
 def I(nvars, *gens):
@@ -172,6 +176,47 @@ class TestCorpus:
             assert report["pretty_clean"] and report["support_equals_ass"]
 
 
+class TestWitnessParity:
+    """The builder must pick exactly the witnesses of the exponent-box scan in
+    tests/support.py, not merely valid ones: a wrong tie-break between two
+    admissible witnesses passes every check of verify_filtration."""
+
+    @staticmethod
+    def matches_box_scan(M):
+        """Compare with the raw box scan; returns where the scan got stuck."""
+        n = M.nvars
+        chain = [(s.variable_index, gens_of(s.ideal)) for s in build_chain(M).steps]
+        witnesses, stuck = raw_witnesses(gens_of(M.denominator), chain)
+        if stuck is None:
+            steps = pretty_clean_filtration(M).steps
+            assert [s.witness.exps for s in steps] == witnesses
+            return None
+        r, current, target = stuck
+        with pytest.raises(WitnessExhaustionError) as raised:
+            pretty_clean_filtration(M)
+        assert str(raised.value) == (
+            f"no witness with colon ({P(n, *range(1, r + 1))}) while extending "
+            f"{ideal_of(n, current)} toward {ideal_of(n, target)}"
+        )
+        return stuck
+
+    # about one draw of modules() in eight is a nonzero Borel-type module
+    @given(M=modules())
+    @settings(
+        deadline=None,
+        max_examples=60,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    def test_borel_type_modules(self, M):
+        assume(not M.is_zero() and borel_verdict(M).is_borel)
+        self.matches_box_scan(M)
+
+    def test_known_module_without_pretty_clean_filtration(self):
+        # of Borel type but not sequentially Cohen-Macaulay
+        M = Subquotient(I(4, "x4^2", "x1^2*x3*x4", "x1^3"), I(4, "x1^3"))
+        assert self.matches_box_scan(M) is not None
+
+
 def _shuffled_witness_filtration(module, rng) -> PrimeFiltration:
     """Builder variant that scans witness candidates in random order."""
     chain = build_chain(module)
@@ -187,7 +232,9 @@ def _shuffled_witness_filtration(module, rng) -> PrimeFiltration:
                 max(a, b)
                 for a, b in zip(target.max_exponents(), current.max_exponents())
             )
-            candidates = list(box_monomials(bounds))
+            candidates = [
+                Monomial(e) for e in itertools.product(*(range(b + 1) for b in bounds))
+            ]
             rng.shuffle(candidates)
             witness = next(
                 m

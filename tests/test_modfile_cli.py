@@ -105,6 +105,18 @@ def non_borel_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def not_sequentially_cm_file(tmp_path):
+    # I = (x4^2, x1^2*x3*x4, x1^3), J = (x1^3): of Borel type, but x3 kills the
+    # class of x1^2*x4^2 modulo x4, so it is not sequentially Cohen-Macaulay
+    path = tmp_path / "nscm.mod"
+    path.write_text(
+        "vars: 4\nnumerator:\nx4^2\nx1^2*x3*x4\nx1^3\ndenominator:\nx1^3\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -141,6 +153,24 @@ class TestCliCommands:
         assert code == 3
         assert report is None
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["reg", "chain"])
+    def test_chain_readers_refuse_non_sequentially_cm(
+        self, capsys, not_sequentially_cm_file, command
+    ):
+        code, report, err = run_cli(capsys, command, not_sequentially_cm_file)
+        assert code == 3 and report is None
+        assert err == (
+            f"error: {command} needs a sequentially Cohen-Macaulay module; at chain "
+            "step 1, x2, x3, x4 is not a regular sequence on the step quotient\n"
+        )
+
+    def test_check_on_non_sequentially_cm_stays_internal(
+        self, capsys, not_sequentially_cm_file
+    ):
+        code, report, _ = run_cli(capsys, "check", not_sequentially_cm_file)
+        assert code == 2
+        assert report["internal_inconsistency"].startswith("no witness with colon (x1)")
 
     def test_reg_golden(self, capsys, module_file):
         code, report, _ = run_cli(capsys, "reg", module_file)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from boreltype import Monomial, MonomialIdeal, monomial_from_text, monomials_of_degree
 from boreltype.errors import DimensionMismatchError, GuardExceededError, ParseError
-from boreltype.monomial import EXPONENT_LIMIT, box_monomials, box_size, ensure_box
+from boreltype.monomial import EXPONENT_LIMIT, ensure_box
 
 from .support import (
     exponent_tuples,
@@ -228,18 +228,6 @@ class TestEnumeration:
         assert len(set(batch)) == len(batch)
         assert all(m.degree == degree for m in batch)
         assert len(batch) == math.comb(degree + nvars - 1, nvars - 1)
-
-    def test_box_monomials(self):
-        box = box_monomials((2, 1))
-        assert len(box) == box_size((2, 1)) == 6
-        assert len(set(box)) == 6
-        assert all(m.exps <= (2, 1) for m in box)
-
-    def test_box_monomials_order(self):
-        # by degree, then lexicographically: the witness search's order
-        assert [m.exps for m in box_monomials((1, 2))] == [
-            (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)
-        ]
 
     def test_guard(self):
         with pytest.raises(GuardExceededError):
