@@ -4,8 +4,9 @@ For each multidegree a in the box below the lcm of the generators, the Betti
 number of the ideal in homological position i at multidegree a is the rank of
 the reduced simplicial homology, one dimension down, of the complex whose
 faces are the variable subsets one can divide out of x^a while staying in the
-ideal.  Homology ranks are exact: boundary matrices over the rationals with
-fraction arithmetic, or over the field with two elements when requested.
+ideal.  Homology ranks are exact: the rank over the rationals comes from
+fraction-free (Bareiss) elimination on Python integers, and the rank over the
+field with two elements, when requested, from elimination on bit rows.
 The quotient ring's table is the ideal's table shifted one step, plus the free
 rank one at the origin.  Regularity, projective dimension, and depth
 (variables minus projective dimension) are read off the table.
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import GuardExceededError
-from .monomial import Monomial, MonomialIdeal, ensure_box
+from .monomial import Monomial, MonomialIdeal, ensure_box, trusted_monomial
 
 DEFAULT_ORACLE_GUARD = 1 << 16
 
@@ -78,39 +78,44 @@ def upper_koszul_complex(ideal: MonomialIdeal, multidegree) -> SimplicialComplex
     faces = []
     for k in range(len(verts) + 1):
         for subset in itertools.combinations(verts, k):
-            divisor = Monomial(
-                tuple(1 if i + 1 in subset else 0 for i in range(a.nvars))
-            )
-            if ideal.member(a.div(divisor)):
+            lowered = list(a.exps)
+            for v in subset:
+                lowered[v - 1] -= 1
+            if ideal.member(trusted_monomial(tuple(lowered))):
                 faces.append(frozenset(subset))
     return SimplicialComplex(verts, frozenset(faces))
 
 
 def _rank_rational(rows: list[list[int]]) -> int:
+    """Rank over the rationals by Bareiss's fraction-free elimination.
+
+    After each pivot every row below is replaced by (pivot * row - entry *
+    pivot row) / previous pivot.  Its entries are then minors of the input,
+    so the division is exact and everything stays a Python int, while the
+    rank is the same as that of Gaussian elimination over Q.
+    """
     if not rows or not rows[0]:
         return 0
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     nrows, ncols = len(mat), len(mat[0])
     rank = 0
-    row = 0
+    previous = 1
     for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col]
-        for r in range(row + 1, nrows):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / inv
-                for c in range(col, ncols):
-                    mat[r][c] -= factor * mat[row][c]
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, nrows):
+            row = mat[r]
+            f = row[col]
+            for c in range(col + 1, ncols):
+                row[c] = (p * row[c] - f * top[c]) // previous
+            row[col] = 0
+        previous = p
         rank += 1
-        row += 1
-        if row == nrows:
+        if rank == nrows:
             break
     return rank
 
@@ -203,14 +208,6 @@ class BettiTable:
             if i == index and a == key:
                 return r
         return 0
-
-    def total_by_degree(self) -> dict:
-        """Ranks aggregated over multidegrees with the same total degree."""
-        out: dict[tuple[int, int], int] = {}
-        for i, a, r in self.entries:
-            key = (i, sum(a))
-            out[key] = out.get(key, 0) + r
-        return out
 
     def regularity(self) -> int:
         return max(sum(a) - i for i, a, _ in self.entries)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import GuardExceededError, ZeroModuleError
-from .monomial import Monomial, MonomialIdeal, box_size, ensure_box
+from .monomial import Monomial, MonomialIdeal, ensure_box, trusted_monomial
 from .subquotient import Subquotient
 
 # Internal safety valve for exponent-box enumerations (witness searches and
@@ -120,14 +120,13 @@ def irreducible_decomposition(
     n = ideal.nvars
     components = []
     for exps in itertools.product(*[range(c + 1) for c in caps]):
-        m = Monomial(exps)
-        if ideal.member(m):
+        if ideal.member(trusted_monomial(exps)):
             continue
         corner = True
         for i in range(n):
             if exps[i] + 1 > caps[i]:
                 continue  # the bump leaves the box: absorbed by the marker power
-            bumped = Monomial(exps[:i] + (exps[i] + 1,) + exps[i + 1 :])
+            bumped = trusted_monomial(exps[:i] + (exps[i] + 1,) + exps[i + 1 :])
             if not ideal.member(bumped):
                 corner = False
                 break
@@ -188,7 +187,7 @@ def associated_primes(
     ensure_box(bounds, guard, "associated prime witness search")
     primes = set()
     for exps in itertools.product(*[range(b + 1) for b in bounds]):
-        m = Monomial(exps)
+        m = trusted_monomial(exps)
         if not num.member(m) or den.member(m):
             continue
         ann = den.colon_monomial(m)

@@ -26,7 +26,7 @@ from .decomposition import (
     prime_sort_key,
 )
 from .errors import NotBorelTypeError, WitnessExhaustionError, ZeroModuleError
-from .monomial import Monomial, MonomialIdeal
+from .monomial import Monomial, MonomialIdeal, trusted_monomial
 from .subquotient import Subquotient
 
 
@@ -55,11 +55,11 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     In chain step r the witness is the least minimal generator, by (degree,
     exponents), of A = target meet D_1 meet ... meet D_r that lies outside
     current : (x_{r+1}...x_n)^infinity: the monomial a scan of the exponent
-    box of target and current would find first.  A is built from the D_i,
-    not current.colon(P), which in a prototype made this layer three times
-    slower than the box scan on check-stable.  Raises WitnessExhaustionError
-    when no generator qualifies, as on Borel-type modules that are not
-    sequentially Cohen-Macaulay.
+    box of target and current would find first.  A is built from the D_i
+    rather than by intersecting the colons current : x_i over all of P; that
+    route measured about three times slower than the box scan on
+    check-stable.  Raises WitnessExhaustionError when no generator qualifies,
+    as on Borel-type modules that are not sequentially Cohen-Macaulay.
     """
     if module.is_zero():
         raise ZeroModuleError("the zero module has no prime filtration")
@@ -80,7 +80,7 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
                 shifted = tuple(g.div(x) for g in current.gens if x.divides(g))
                 admissible = admissible.intersect(MonomialIdeal(n, shifted))
             # generators of current : (x_{r+1}...x_n)^infinity
-            sat = [Monomial(h.exps[:r] + (0,) * (n - r)) for h in current.gens]
+            sat = [trusted_monomial(h.exps[:r] + (0,) * (n - r)) for h in current.gens]
             outside = [g for g in admissible.gens if not any(s.divides(g) for s in sat)]
             if not outside:
                 raise WitnessExhaustionError(
@@ -91,6 +91,23 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
             current = current.add(MonomialIdeal.principal(witness))
             steps.append(FiltrationStep(current, witness, prime))
     return PrimeFiltration(module, tuple(steps))
+
+
+def primes_never_grow(primes) -> bool:
+    """Whether no prime in the sequence strictly contains an earlier one.
+
+    A prime p is followed somewhere by a strictly larger q exactly when p
+    first occurs before q last occurs, so only the distinct primes with their
+    first and last positions are compared: linear in the sequence's length.
+    """
+    first: dict[MonomialPrime, int] = {}
+    last: dict[MonomialPrime, int] = {}
+    for k, prime in enumerate(primes):
+        first.setdefault(prime, k)
+        last[prime] = k
+    return not any(
+        first[p] < last[q] and p != q and q.contains(p) for p in first for q in first
+    )
 
 
 def verify_filtration(filtration: PrimeFiltration) -> dict:
@@ -114,12 +131,7 @@ def verify_filtration(filtration: PrimeFiltration) -> dict:
         previous = step.ideal
     if previous != module.numerator:
         violations.append("filtration does not end at the whole module")
-    primes = [s.prime for s in filtration.steps]
-    pretty = True
-    for a in range(len(primes)):
-        for b in range(a + 1, len(primes)):
-            if primes[b].contains(primes[a]) and primes[a] != primes[b]:
-                pretty = False
+    pretty = primes_never_grow([s.prime for s in filtration.steps])
     support = filtration.support()
     ass = associated_primes(module) if not module.is_zero() else ()
     minimal = minimal_primes(ass)

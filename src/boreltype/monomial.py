@@ -6,6 +6,13 @@ lexicographic order, so equal ideals compare, hash and serialize identically.
 Every value is immutable and every operation is a pure function, which makes
 all of them safe to share between threads.
 
+Exponents are validated once, at the public boundaries: ``Monomial(...)``,
+``monomial_from_text`` and the type and variable-count checks of
+``MonomialIdeal(...)``.  Results of internal operations (products, quotients,
+lcms, saturations, box walks) are built from exponent tuples that are valid by
+construction and skip that validation; only the variable counts of the
+operands are still compared, so that no operation truncates silently.
+
 The text grammar used everywhere (CLI included): a monomial is ``1`` or
 ``*``-separated factors ``x3`` / ``x3^2``; an ideal is one generator per line,
 or the keyword ``unit``.
@@ -16,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import add, le, sub
 
 from .errors import DimensionMismatchError, GuardExceededError, ParseError
 
@@ -73,23 +81,24 @@ class Monomial:
             )
 
     def divides(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        a, b = self.exps, other.exps
+        if len(a) != len(b):
+            self._check(other)
+        return all(map(le, a, b))
 
     def mul(self, other: "Monomial") -> "Monomial":
         self._check(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return trusted_monomial(tuple(map(add, self.exps, other.exps)))
 
     def div(self, other: "Monomial") -> "Monomial":
         """Exact division; raises ValueError when other does not divide self."""
-        self._check(other)
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return trusted_monomial(tuple(map(sub, self.exps, other.exps)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return trusted_monomial(tuple(map(max, self.exps, other.exps)))
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the variables dividing this monomial."""
@@ -103,7 +112,7 @@ class Monomial:
         sup = self.support()
         if not sup:
             raise ValueError("the unit monomial has no support")
-        return Monomial(tuple(1 if e > 0 else 0 for e in self.exps)), sup[0]
+        return trusted_monomial(tuple(1 if e > 0 else 0 for e in self.exps)), sup[0]
 
     def __str__(self) -> str:
         if self.is_unit():
@@ -115,6 +124,28 @@ class Monomial:
             elif e > 1:
                 parts.append(f"x{i}^{e}")
         return "*".join(parts)
+
+
+def trusted_monomial(exps: tuple[int, ...]) -> Monomial:
+    """The monomial with these exponents, without validation.
+
+    Only for tuples of ints computed from valid monomials or exponent boxes
+    (sums, differences of divisible pairs, maxima, box points): nonnegative by
+    construction.  Input from outside goes through ``Monomial(...)``, which
+    also enforces the exponent limit.
+    """
+    m = object.__new__(Monomial)
+    m.__dict__["exps"] = exps
+    return m
+
+
+def _support_mask(exps: tuple[int, ...]) -> int:
+    """Bit i set exactly when variable i + 1 divides the monomial."""
+    mask = 0
+    for i, e in enumerate(exps):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
 _FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?\Z")
@@ -149,6 +180,12 @@ class MonomialIdeal:
     The constructor accepts any iterable of monomials and keeps the antichain
     of divisibility-minimal ones, sorted lexicographically.  The zero ideal has
     no generators; the unit ideal is generated by the unit monomial.
+
+    Minimalization walks the distinct generators by degree: a monomial can
+    only be divided by a different one of lower degree, so each candidate is
+    tested against the kept generators of lower degree only.  A kept generator
+    whose support is not inside the candidate's cannot divide it, which a
+    comparison of support bitmasks decides before the exponents are compared.
     """
 
     nvars: int
@@ -158,19 +195,29 @@ class MonomialIdeal:
         nvars = int(self.nvars)
         if nvars < 1:
             raise ValueError("need at least one variable")
-        collected = []
+        by_exps = {}
         for g in self.gens:
             if not isinstance(g, Monomial):
                 raise TypeError(f"generator {g!r} is not a Monomial")
-            if g.nvars != nvars:
+            if len(g.exps) != nvars:
                 raise DimensionMismatchError(
                     f"generator over {g.nvars} variables in a {nvars}-variable ideal"
                 )
-            collected.append(g)
-        unique = sorted(set(collected))
-        minimal = tuple(
-            m for m in unique if not any(g is not m and g.divides(m) for g in unique)
-        )
+            by_exps[g.exps] = g
+        kept: list[tuple[tuple[int, ...], int]] = []  # (exponents, support mask)
+        lower: list[tuple[tuple[int, ...], int]] = []  # those of lower degree
+        degree = -1
+        for exps in sorted(by_exps, key=sum):
+            d = sum(exps)
+            if d != degree:
+                degree, lower = d, kept[:]
+            mask = _support_mask(exps)
+            for k, k_mask in lower:
+                if not (k_mask & ~mask) and all(map(le, k, exps)):
+                    break
+            else:
+                kept.append((exps, mask))
+        minimal = tuple(by_exps[exps] for exps in sorted(exps for exps, _ in kept))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", minimal)
 
@@ -208,9 +255,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_unit()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def _check(self, other: "MonomialIdeal") -> None:
         if self.nvars != other.nvars:
             raise DimensionMismatchError(
@@ -243,14 +287,6 @@ class MonomialIdeal:
         """(self : g) = (lcm(m, g)/g for each minimal generator m)."""
         return MonomialIdeal(self.nvars, tuple(m.lcm(g).div(g) for m in self.gens))
 
-    def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(self : other), the intersection of the single-generator colons."""
-        self._check(other)
-        if other.is_zero():
-            raise ValueError("colon by the zero ideal is undefined here")
-        parts = [self.colon_monomial(g) for g in other.gens]
-        return reduce(MonomialIdeal.intersect, parts)
-
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other^infinity), the intersection of the saturations at
         each minimal generator of other."""
@@ -267,7 +303,9 @@ class MonomialIdeal:
         return MonomialIdeal(
             self.nvars,
             tuple(
-                Monomial(tuple(0 if i in sup else e for i, e in enumerate(g.exps, 1)))
+                trusted_monomial(
+                    tuple(0 if i in sup else e for i, e in enumerate(g.exps, 1))
+                )
                 for g in self.gens
             ),
         )
@@ -310,7 +348,7 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
             build(prefix + (e,), position + 1, left - e)
 
     build((), 0, degree)
-    return tuple(Monomial(e) for e in out)
+    return tuple(trusted_monomial(e) for e in out)
 
 
 def box_size(bounds) -> int:

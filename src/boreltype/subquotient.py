@@ -63,14 +63,6 @@ class Subquotient:
             raise ValueError("torsion support must be a nonzero ideal")
         return self.denominator.saturate(support).intersect(self.numerator)
 
-    def quotient_by(self, middle: MonomialIdeal) -> "Subquotient":
-        """The quotient of this module by the submodule middle/denominator."""
-        if not middle.contains(self.denominator):
-            raise ValueError("quotient ideal must contain the denominator")
-        if not self.numerator.contains(middle):
-            raise ValueError("quotient ideal must sit inside the numerator")
-        return Subquotient(self.numerator, middle)
-
     def truncate(self, degree: int) -> "Subquotient":
         """The submodule generated by all elements of degree >= ``degree``."""
         if degree < 0:

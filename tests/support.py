@@ -8,6 +8,7 @@ colon, intersection, and saturation results.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -125,6 +126,38 @@ def raw_witnesses(denominator, chain):
             witnesses.append(m)
             current = raw_minimalize(current + [m])
     return witnesses, None
+
+
+def raw_rank_fraction(rows) -> int:
+    """Rank over Q by Gaussian elimination with Fraction entries."""
+    if not rows or not rows[0]:
+        return 0
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(mat), len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, nrows):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / mat[rank][col]
+                for c in range(col, ncols):
+                    mat[r][c] -= factor * mat[rank][c]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def raw_primes_never_grow(prime_sets) -> bool:
+    """The pairwise pretty-clean rule on primes given as variable sets: no
+    set strictly contains one that comes before it."""
+    sets = [frozenset(p) for p in prime_sets]
+    return not any(
+        sets[a] < sets[b] for a in range(len(sets)) for b in range(a + 1, len(sets))
+    )
 
 
 def ideal_of(nvars: int, raw_gens) -> MonomialIdeal:

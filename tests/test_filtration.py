@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from boreltype import (
     FiltrationStep,
@@ -22,8 +23,9 @@ from boreltype import (
     verify_filtration,
 )
 from boreltype.errors import NotBorelTypeError, WitnessExhaustionError, ZeroModuleError
+from boreltype.filtration import primes_never_grow
 
-from .support import gens_of, ideal_of, modules, raw_witnesses
+from .support import gens_of, ideal_of, modules, raw_primes_never_grow, raw_witnesses
 
 
 def I(nvars, *gens):
@@ -130,6 +132,36 @@ class TestVerifierIndependence:
         assert not report["pretty_clean"]
         assert report["length"] == 3
         assert len(pretty_clean_filtration(base)) == 2
+
+
+@st.composite
+def prime_sequences(draw):
+    """A variable count and a sequence of primes, each a nonempty variable set."""
+    nvars = draw(st.integers(1, 4))
+    subsets = st.sets(st.integers(1, nvars), min_size=1)
+    return nvars, draw(st.lists(subsets, max_size=30))
+
+
+class TestPrettyCleanRule:
+    """verify_filtration compares distinct primes by first and last position;
+    it must agree with the rule over every pair of steps."""
+
+    @given(drawn=prime_sequences())
+    @settings(max_examples=300)
+    def test_matches_pairwise_rule(self, drawn):
+        nvars, sets = drawn
+        primes = [MonomialPrime(nvars, tuple(s)) for s in sets]
+        assert primes_never_grow(primes) == raw_primes_never_grow(sets)
+
+    def test_golden_later_larger_prime_fails(self):
+        big, small, other = P(3, 1, 2), P(3, 1), P(3, 3)
+        assert primes_never_grow([big, big, small, other, small])
+        assert primes_never_grow([])
+        # x1 first occurs after (x1, x2) first occurs, but before its last
+        # occurrence; and x1 last occurs after (x1, x2) last occurs
+        assert not primes_never_grow([big, small, small, big])
+        assert not primes_never_grow([big, small, big, small])
+        assert not primes_never_grow([other, small, P(3, 1, 3)])
 
 
 class TestLengthReport:

@@ -123,7 +123,7 @@ class TestHilbert:
             return
         L = M.torsion_submodule(MonomialIdeal.prefix(M.nvars, 1))
         sub = Subquotient(L, M.denominator)
-        quot = M.quotient_by(L)
+        quot = Subquotient(M.numerator, L)
         assert M.hilbert_function(d) == sub.hilbert_function(d) + quot.hilbert_function(d)
 
 
@@ -190,17 +190,3 @@ class TestTopDegree:
         N = Subquotient(I(2, "x1", "x2^2"), I(2, "x1^2", "x1*x2", "x2^3"))
         assert [N.hilbert_function(d) for d in range(4)] == [0, 1, 1, 0]
         assert N.artinian_hilbert() == [0, 1, 1]
-
-
-class TestQuotientBy:
-    def test_golden(self):
-        M = Subquotient.cyclic(I(2, "x1^2", "x1*x2"))
-        q = M.quotient_by(I(2, "x1"))
-        assert q == Subquotient.cyclic(I(2, "x1"))
-        assert M.quotient_by(M.denominator) == M
-        assert M.quotient_by(M.numerator).is_zero()
-
-    def test_containment_enforced(self):
-        M = Subquotient.cyclic(I(2, "x1^2", "x1*x2"))
-        with pytest.raises(ValueError):
-            M.quotient_by(I(2, "x2^2"))
