@@ -18,6 +18,9 @@ from .errors import InternalInconsistencyError, NotBorelTypeError
 from .monomial import Monomial, MonomialIdeal, monomials_of_degree
 from .subquotient import Subquotient
 
+# largest degree of the sample monomials u in torsion_identity_report
+TORSION_SAMPLE_DEGREE = 2
+
 
 @dataclass(frozen=True)
 class BorelVerdict:
@@ -200,7 +203,7 @@ def truncation_stability_degree(module: Subquotient, e_max=None):
     return None
 
 
-def torsion_identity_report(module: Subquotient, sample_degree: int = 2) -> dict:
+def torsion_identity_report(module: Subquotient) -> dict:
     """Torsion-support identities that hold for Borel-type modules.
 
     Checks torsion at x_j against torsion at consecutive products
@@ -228,7 +231,7 @@ def torsion_identity_report(module: Subquotient, sample_degree: int = 2) -> dict
                 report["consecutive_products"] = False
                 report["counterexample"] = {"kind": "product", "j": j, "p": p}
                 return report
-    for d in range(1, sample_degree + 1):
+    for d in range(1, TORSION_SAMPLE_DEGREE + 1):
         for u in monomials_of_degree(n, d):
             if u.is_unit():
                 continue

@@ -16,12 +16,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import GuardExceededError, ZeroModuleError
+from .errors import ZeroModuleError
 from .monomial import Monomial, MonomialIdeal, ensure_box, trusted_monomial
 from .subquotient import Subquotient
 
-# Internal safety valve for exponent-box enumerations (witness searches and
-# corner scans); desk-scale inputs sit far below it.
+# Internal safety valve for the corner scan's exponent box; desk-scale inputs
+# sit far below it.
 DEFAULT_BOX_GUARD = 1 << 18
 
 
@@ -105,9 +105,7 @@ def _require_proper_nonzero(ideal: MonomialIdeal, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def irreducible_decomposition(
-    ideal: MonomialIdeal, guard: int = DEFAULT_BOX_GUARD
-) -> tuple[IrreducibleComponent, ...]:
+def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The irredundant irreducible decomposition, via corner monomials.
 
     A corner is a monomial outside the ideal all of whose variable bumps land
@@ -116,7 +114,7 @@ def irreducible_decomposition(
     """
     _require_proper_nonzero(ideal, "irreducible decomposition")
     caps = ideal.max_exponents()
-    ensure_box(caps, guard, "irreducible decomposition")
+    ensure_box(caps, DEFAULT_BOX_GUARD, "irreducible decomposition")
     n = ideal.nvars
     components = []
     for exps in itertools.product(*[range(c + 1) for c in caps]):
@@ -143,12 +141,12 @@ def irreducible_decomposition(
 
 @lru_cache(maxsize=None)
 def primary_components(
-    ideal: MonomialIdeal, guard: int = DEFAULT_BOX_GUARD
+    ideal: MonomialIdeal,
 ) -> tuple[tuple[MonomialPrime, MonomialIdeal], ...]:
     """Primary decomposition obtained by intersecting same-radical
     irreducible components."""
     groups: dict[MonomialPrime, list[MonomialIdeal]] = {}
-    for comp in irreducible_decomposition(ideal, guard):
+    for comp in irreducible_decomposition(ideal):
         groups.setdefault(comp.radical(), []).append(comp.to_ideal())
     out = []
     for prime in sorted(groups):
@@ -160,43 +158,33 @@ def prime_sort_key(p: MonomialPrime):
     return (len(p.variables), p.variables)
 
 
-@lru_cache(maxsize=None)
 def cyclic_associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
-    """Ass(S/ideal): the distinct radicals of the irreducible components."""
+    """Ass(S/ideal): the distinct radicals of the irreducible components
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 5)."""
     _require_proper_nonzero(ideal, "associated primes")
     primes = {comp.radical() for comp in irreducible_decomposition(ideal)}
     return tuple(sorted(primes, key=prime_sort_key))
 
 
 @lru_cache(maxsize=None)
-def associated_primes(
-    module: Subquotient, guard: int = DEFAULT_BOX_GUARD
-) -> tuple[MonomialPrime, ...]:
-    """Ass(I/J) by witness search.
+def associated_primes(module: Subquotient) -> tuple[MonomialPrime, ...]:
+    """Ass(I/J) = the union of Ass(S/(J : g)) over the minimal generators g
+    of I outside J.
 
     Every associated prime of a multigraded module with one-dimensional graded
-    pieces is the annihilator (J : m) of a monomial class m in I minus J.  The
-    search box is the componentwise max of the generator exponents of I and J.
+    pieces is the annihilator (J : m) of a monomial class m in I minus J.
+    Write m = g*u with g a minimal generator of I: then J : m = (J : g) : u,
+    and u lies outside J : g exactly when m lies outside J.  So the monomial
+    annihilators of I/J are those of the cyclic modules S/(J : g) over the g
+    with J : g proper, i.e. g outside J.
     """
     if module.is_zero():
         raise ZeroModuleError("the zero module has no associated primes")
-    num, den = module.numerator, module.denominator
-    bounds = tuple(
-        max(a, b) for a, b in zip(num.max_exponents(), den.max_exponents())
-    )
-    ensure_box(bounds, guard, "associated prime witness search")
+    den = module.denominator
     primes = set()
-    for exps in itertools.product(*[range(b + 1) for b in bounds]):
-        m = trusted_monomial(exps)
-        if not num.member(m) or den.member(m):
-            continue
-        ann = den.colon_monomial(m)
-        if all(g.degree == 1 for g in ann.gens):
-            primes.add(
-                MonomialPrime(
-                    module.nvars, tuple(i for g in ann.gens for i in g.support())
-                )
-            )
+    for g in module.numerator.gens:
+        if not den.member(g):
+            primes.update(cyclic_associated_primes(den.colon_monomial(g)))
     return tuple(sorted(primes, key=prime_sort_key))
 
 

@@ -26,7 +26,8 @@ class GuardExceededError(AlgebraError):
 
 
 class WitnessExhaustionError(AlgebraError):
-    """No admissible filtration witness exists inside the search box."""
+    """No monomial of a chain step's target outside the current ideal has
+    the step prime as its colon."""
 
 
 class InternalInconsistencyError(AlgebraError):

@@ -121,12 +121,13 @@ def verify_filtration(filtration: PrimeFiltration) -> dict:
     module = filtration.base
     violations = []
     previous = module.denominator
+    prime_ideals = {p: p.to_ideal() for p in {s.prime for s in filtration.steps}}
     for k, step in enumerate(filtration.steps, 1):
-        if previous.add(MonomialIdeal.principal(step.witness)) != step.ideal:
+        if MonomialIdeal(previous.nvars, previous.gens + (step.witness,)) != step.ideal:
             violations.append(f"step {k}: ideal is not the previous one plus witness")
         if previous.member(step.witness):
             violations.append(f"step {k}: witness already lies in the previous ideal")
-        if previous.colon_monomial(step.witness) != step.prime.to_ideal():
+        if previous.colon_monomial(step.witness) != prime_ideals[step.prime]:
             violations.append(f"step {k}: colon is not exactly ({step.prime})")
         previous = step.ideal
     if previous != module.numerator:

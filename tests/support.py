@@ -90,6 +90,23 @@ def raw_colon(gens, m):
     return raw_minimalize([tuple(max(a, b) - b for a, b in zip(g, m)) for g in gens])
 
 
+def raw_associated_primes(numerator, denominator):
+    """Ass(I/J) by witness search: the colons (J : m) generated by variables,
+    over every monomial m of the exponent box of I and J in I and outside J.
+    Each prime is returned as its sorted tuple of 1-based variable indices."""
+    nvars = len(denominator[0])
+    gens = list(numerator) + list(denominator)
+    bounds = [max(g[i] for g in gens) for i in range(nvars)]
+    primes = set()
+    for m in itertools.product(*(range(b + 1) for b in bounds)):
+        if not raw_member(m, numerator) or raw_member(m, denominator):
+            continue
+        colon = raw_colon(denominator, m)
+        if all(sum(g) == 1 for g in colon):
+            primes.add(tuple(sorted(g.index(1) + 1 for g in colon)))
+    return primes
+
+
 def raw_witness(current, target, r: int):
     """The first monomial of the exponent box of current and target, in
     (degree, exponents) order, that lies in target and outside current and

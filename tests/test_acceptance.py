@@ -206,7 +206,7 @@ def test_criterion_8_structural_property_suites(borel_corpus, mixed_corpus):
         else:
             assert e is None, (M, e)
     for M in _borel_instances(borel_corpus)[:60] + _borel_instances(mixed_corpus)[:60]:
-        report = torsion_identity_report(M, sample_degree=2)
+        report = torsion_identity_report(M)
         assert report["consecutive_products"], (M, report)
         assert report["support_reduction"], (M, report)
         identities += 1

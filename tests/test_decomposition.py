@@ -25,9 +25,16 @@ from boreltype import (
     minimal_primes,
     primary_components,
 )
-from boreltype.errors import ZeroModuleError
+from boreltype.errors import GuardExceededError, ZeroModuleError
 
-from .support import gens_of, modules, raw_ideals, raw_member, tuples_up_to
+from .support import (
+    gens_of,
+    modules,
+    raw_associated_primes,
+    raw_ideals,
+    raw_member,
+    tuples_up_to,
+)
 
 
 def I(nvars, *gens):
@@ -110,11 +117,29 @@ class TestAssociatedPrimes:
         with pytest.raises(ZeroModuleError):
             associated_primes(M)
 
+    def test_primes_from_different_generators(self):
+        # J : x1 = (x2) and J : x2 = (x1): neither generator alone gives Ass
+        M = Subquotient(I(2, "x1", "x2"), I(2, "x1*x2"))
+        assert set(associated_primes(M)) == {prime(2, 1), prime(2, 2)}
+
+    def test_generator_inside_denominator(self):
+        # x2 lies in J, so only J : x1 = (x2) contributes
+        M = Subquotient(I(2, "x1", "x2"), I(2, "x2"))
+        assert set(associated_primes(M)) == {prime(2, 2)}
+
+    def test_over_guard_cyclic_refused_with_box_size(self):
+        # the corner scan of (x1^64, x2^64, x3^64) spans 65^3 monomials
+        M = Subquotient.cyclic(I(3, "x1^64", "x2^64", "x3^64"))
+        with pytest.raises(GuardExceededError, match="box of size 274625 exceeds"):
+            associated_primes(M)
+
     @given(M=modules())
-    @settings(deadline=None, max_examples=60)
-    def test_cyclic_routes_agree(self, M):
-        cyclic = Subquotient.cyclic(M.denominator)
-        assert associated_primes(cyclic) == cyclic_associated_primes(M.denominator)
+    @settings(deadline=None, max_examples=80)
+    def test_matches_box_search(self, M):
+        if M.is_zero():
+            return
+        expected = raw_associated_primes(gens_of(M.numerator), gens_of(M.denominator))
+        assert {p.variables for p in associated_primes(M)} == expected
 
     @given(M=modules())
     @settings(deadline=None, max_examples=60)

@@ -1,5 +1,5 @@
-"""Pinned command output: `check`, `chain`, `reg` and `filtration` on a few
-fixed modules must print exactly the bytes stored in golden_cli.json.
+"""Pinned command output: `check`, `chain`, `reg`, `filtration` and `analyze`
+on a few fixed modules must print exactly the bytes stored in golden_cli.json.
 
 Criterion 9 compares reruns of the same code, so it cannot see a change
 that alters every run alike; this file can.  After an intended output
@@ -31,12 +31,14 @@ MODULES = {
     "subquotient_borel": "vars: 3\nnumerator:\nx3\nx1^2\ndenominator:\nx1*x2*x3\nx1^2\n",
     # (x2, x3) is an associated prime: check is vacuous, the rest refuse
     "non_borel": "vars: 3\nnumerator:\nunit\ndenominator:\nx2*x3\n",
+    # Ass = {(x1), (x2)}, each prime read off a different numerator generator
+    "two_generator_primes": "vars: 2\nnumerator:\nx1\nx2\ndenominator:\nx1*x2\n",
 }
 
 CASES = [
     (command, name, ())
     for name in MODULES
-    for command in ("check", "chain", "reg", "filtration")
+    for command in ("check", "chain", "reg", "filtration", "analyze")
 ] + [("check", "cyclic_borel", ("--oracle-guard", "1"))]
 
 
@@ -80,6 +82,8 @@ def test_golden_exercises_the_intended_paths():
     sub = json.loads(expected["chain subquotient_borel"]["stdout"])
     assert sub["length"] == 2
     assert expected["reg non_borel"]["exit_code"] == 3
+    two = json.loads(expected["analyze two_generator_primes"]["stdout"])
+    assert two["associated_primes"] == ["x1", "x2"]
 
 
 if __name__ == "__main__":
