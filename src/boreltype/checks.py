@@ -24,6 +24,7 @@ from .chain import (
     build_chain,
     dimension_filtration_report,
     iterated_saturation_chain,
+    reduced_hilbert,
     sequential_cm_report,
     torsion_ladder_matches_chain,
 )
@@ -155,6 +156,8 @@ def _run_all(module, options, add, report):
         raise InternalInconsistencyError(
             f"chain construction failed on a Borel-type module: {exc}"
         ) from exc
+    # refuses a reduced top degree past the ceiling before any other check
+    reduced_hilbert(chain, options.ceiling)
     n = module.nvars
     indices = chain.indices()
     ideals = chain.ideals()

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--ceiling",
             type=int,
             default=DEFAULT_CEILING,
-            help=f"degree ceiling for Artinian top-degree scans (default {DEFAULT_CEILING})",
+            help=f"largest reduced top degree; refused before any scan (default {DEFAULT_CEILING})",
         )
         p.add_argument(
             "--oracle-guard",
@@ -241,11 +241,12 @@ def _write_betti_csv(table: BettiTable, path: str) -> None:
 
 def _cmd_filtration(module: Subquotient, options: CheckOptions):
     _require_borel(module, "filtration")
+    chain = build_chain(module)
+    # refuses a reduced top degree past the ceiling before the build
+    reduced_hilbert(chain, options.ceiling)
     filtration = pretty_clean_filtration(module)
     verification = verify_filtration(filtration)
-    lengths = filtration_length_report(
-        filtration, build_chain(module), ceiling=options.ceiling
-    )
+    lengths = filtration_length_report(filtration, chain, ceiling=options.ceiling)
     report = {
         "module": module_json(module),
         "steps": [

@@ -2,27 +2,23 @@
 primes of monomial subquotients, Krull dimension, and the dimension
 filtration.
 
-Irreducible components are computed by the corner method: artinianize the
-ideal with marker powers x_i^{T_i} one past each variable's largest generator
-exponent, list the maximal standard monomials of the artinianization, and read
-one component off each corner, dropping the bounds that hit the marker.  The
-corners are exactly the socle elements of the artinianized quotient, which
-makes the resulting family irredundant without any pruning pass.
+Irreducible components are built one minimal generator m at a time from the
+zero ideal.  A component C containing m stays; any other splits as
+C + (m) = meet over i in supp m of C + (x_i^{m_i}).  Irreducible monomial
+ideals are meet-prime, so a new component is redundant exactly when it
+contains another one, and the unique irredundant result does not depend on
+the generator order (Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 5).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import ZeroModuleError
-from .monomial import Monomial, MonomialIdeal, ensure_box, trusted_monomial
+from .monomial import Monomial, MonomialIdeal
 from .subquotient import Subquotient
-
-# Internal safety valve for the corner scan's exponent box; desk-scale inputs
-# sit far below it.
-DEFAULT_BOX_GUARD = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -106,37 +102,32 @@ def _require_proper_nonzero(ideal: MonomialIdeal, what: str) -> None:
 
 @lru_cache(maxsize=None)
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """The irredundant irreducible decomposition, via corner monomials.
-
-    A corner is a monomial outside the ideal all of whose variable bumps land
-    inside the artinianization; each corner m yields the component with bounds
-    m_i + 1 at the variables where m stays below the marker.
+    """The irredundant irreducible decomposition, splitting on the generators
+    by degree; a component is its bound vector, 0 marking an unbounded
+    variable.  m outside C puts each m_i below C's bound on x_i, and a kept
+    component never contains a new one: it would then contain its parent.
     """
     _require_proper_nonzero(ideal, "irreducible decomposition")
-    caps = ideal.max_exponents()
-    ensure_box(caps, DEFAULT_BOX_GUARD, "irreducible decomposition")
     n = ideal.nvars
-    components = []
-    for exps in itertools.product(*[range(c + 1) for c in caps]):
-        if ideal.member(trusted_monomial(exps)):
-            continue
-        corner = True
-        for i in range(n):
-            if exps[i] + 1 > caps[i]:
-                continue  # the bump leaves the box: absorbed by the marker power
-            bumped = trusted_monomial(exps[:i] + (exps[i] + 1,) + exps[i + 1 :])
-            if not ideal.member(bumped):
-                corner = False
-                break
-        if not corner:
-            continue
-        bounds = tuple(
-            (i + 1, exps[i] + 1) for i in range(n) if exps[i] < caps[i]
-        )
-        # the all-marker corner cannot occur: the lcm of the generators is
-        # always a member, so some coordinate sits strictly below its cap
-        components.append(IrreducibleComponent(n, bounds))
-    return tuple(sorted(components))
+    components = [(0,) * n]
+    for m in sorted((g.exps for g in ideal.gens), key=sum):
+        kept, split = [], set()
+        for b in components:
+            if any(0 < c <= e for c, e in zip(b, m)):
+                kept.append(b)
+            else:
+                split.update(b[:i] + (e,) + b[i + 1 :] for i, e in enumerate(m) if e)
+        pool = kept + list(split)
+        components = kept + [
+            b for b in split if not any(c != b and _contains(b, c) for c in pool)
+        ]
+    bounds = (tuple((i, c) for i, c in enumerate(b, 1) if c) for b in components)
+    return tuple(sorted(IrreducibleComponent(n, b) for b in bounds))
+
+
+def _contains(b, c) -> bool:
+    """Whether the component with bound vector b contains the one with c."""
+    return all(0 < p <= q for p, q in zip(b, c) if q)
 
 
 @lru_cache(maxsize=None)

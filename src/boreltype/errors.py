@@ -18,7 +18,7 @@ class NotBorelTypeError(AlgebraError):
 
 
 class NotArtinianError(AlgebraError):
-    """A degree scan hit its ceiling without the module vanishing."""
+    """The module is not Artinian, or its top degree passes the ceiling."""
 
 
 class GuardExceededError(AlgebraError):

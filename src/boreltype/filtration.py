@@ -88,7 +88,7 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
                     f"toward {target}"
                 )
             witness = min(outside, key=lambda g: (g.degree, g.exps))
-            current = current.add(MonomialIdeal.principal(witness))
+            current = MonomialIdeal(n, current.gens + (witness,))
             steps.append(FiltrationStep(current, witness, prime))
     return PrimeFiltration(module, tuple(steps))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotArtinianError, ZeroModuleError
-from .monomial import MonomialIdeal, monomials_of_degree
+from .monomial import MonomialIdeal, monomials_of_degree, trusted_monomial
 
 
 @dataclass(frozen=True)
@@ -101,36 +101,37 @@ class Subquotient:
         """The Hilbert function in degrees 0..top, for Artinian modules; its
         last entry is the top nonvanishing degree's value.
 
-        The scan may stop at the first vanishing degree at or past the maximum
-        generator degree of the numerator: past that point every graded piece
-        is generated by the previous one, so a zero stays zero.  If nothing
-        vanishes up to the ceiling the module is reported as not Artinian
-        within it.
+        L/D is Artinian exactly when L lies in the saturation D : m^infinity,
+        m = (x1..xn).  Its socle monomials are then the corners x^{b-1} of the
+        irreducible components (x1^{b1}, ..., xn^{bn}) of D that lie in L, so
+        top = max (b1 - 1) + ... + (bn - 1) over those corners, and only
+        degrees 0..top are scanned.  A module that is not Artinian, or whose
+        top degree passes the ceiling, is reported as not Artinian within it.
         """
+        # decomposition imports this module, so it is imported on use
+        from .decomposition import irreducible_decomposition
+
         if self.is_zero():
             raise ZeroModuleError("the zero module has no top degree")
         bound = self.numerator.max_gen_degree()
         if ceiling is None:
             ceiling = max(10 * max(bound, 1), 40)
         ceiling = max(ceiling, bound)
-        values: list[int] = []
-        last = None
-        for d in range(ceiling + 2):
-            h = self.hilbert_function(d)
-            values.append(h)
-            if h > 0:
-                last = d
-            elif d >= bound:
-                # nonzero module: some numerator generator survives, so a
-                # nonzero value was seen before this point
-                assert last is not None
-                return values[: last + 1]
-            if d > ceiling:
-                raise NotArtinianError(
-                    f"Hilbert function does not vanish up to degree {ceiling}; "
-                    "not Artinian within the ceiling"
-                )
-        raise AssertionError("unreachable")
+        n, den = self.nvars, self.denominator
+        top = ceiling + 1  # refused unless the module is Artinian
+        if den.saturate(MonomialIdeal.prefix(n, n)).contains(self.numerator):
+            corners = (
+                trusted_monomial(tuple(e - 1 for _, e in comp.bounds))
+                for comp in irreducible_decomposition(den)
+                if len(comp.bounds) == n
+            )
+            top = max(c.degree for c in corners if self.numerator.member(c))
+        if top > ceiling:
+            raise NotArtinianError(
+                f"Hilbert function does not vanish up to degree {ceiling}; "
+                "not Artinian within the ceiling"
+            )
+        return [self.hilbert_function(d) for d in range(top + 1)]
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"

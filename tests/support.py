@@ -107,6 +107,56 @@ def raw_associated_primes(numerator, denominator):
     return primes
 
 
+def raw_irreducible_components(gens, nvars: int):
+    """The irreducible components of a proper nonzero ideal by the corner
+    scan: artinianize with marker powers one past each variable's largest
+    generator exponent, and read one component off each standard monomial m
+    whose variable bumps all land in the ideal or on a marker, with bounds
+    m_i + 1 where m stays below the marker.  Each component is returned as
+    its sorted tuple of (1-based variable, bound) pairs."""
+    caps = [max(g[i] for g in gens) for i in range(nvars)]
+    components = set()
+    for m in itertools.product(*(range(c + 1) for c in caps)):
+        if raw_member(m, gens):
+            continue
+        if all(
+            m[i] == caps[i] or raw_member(m[:i] + (m[i] + 1,) + m[i + 1 :], gens)
+            for i in range(nvars)
+        ):
+            components.add(
+                tuple((i + 1, m[i] + 1) for i in range(nvars) if m[i] < caps[i])
+            )
+    return components
+
+
+def raw_artinian_hilbert(numerator, denominator, nvars: int, ceiling=None):
+    """The Hilbert function of I/J in degrees 0..top by scanning degree after
+    degree until it vanishes at or past the largest numerator generator
+    degree, past which a zero stays zero.  Returns the refusal message
+    instead when nothing vanishes up to the ceiling."""
+    bound = max(sum(g) for g in numerator)
+    if ceiling is None:
+        ceiling = max(10 * max(bound, 1), 40)
+    ceiling = max(ceiling, bound)
+    values = []
+    for d in range(ceiling + 2):
+        values.append(
+            sum(
+                1
+                for m in tuples_of_degree(nvars, d)
+                if raw_member(m, numerator) and not raw_member(m, denominator)
+            )
+        )
+        if values[-1] == 0 and d >= bound:
+            while values[-1] == 0:
+                values.pop()
+            return values
+    return (
+        f"Hilbert function does not vanish up to degree {ceiling}; "
+        "not Artinian within the ceiling"
+    )
+
+
 def raw_witness(current, target, r: int):
     """The first monomial of the exponent box of current and target, in
     (degree, exponents) order, that lies in target and outside current and

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boreltype import (
     Monomial,
@@ -25,13 +26,14 @@ from boreltype import (
     minimal_primes,
     primary_components,
 )
-from boreltype.errors import GuardExceededError, ZeroModuleError
+from boreltype.errors import ZeroModuleError
 
 from .support import (
     gens_of,
     modules,
     raw_associated_primes,
     raw_ideals,
+    raw_irreducible_components,
     raw_member,
     tuples_up_to,
 )
@@ -57,6 +59,18 @@ class TestIrreducibleDecomposition:
     def test_golden_pure_powers(self):
         comps = irreducible_decomposition(I(2, "x1^2", "x2^3"))
         assert {c.to_ideal() for c in comps} == {I(2, "x1^2", "x2^3")}
+
+    def test_golden_high_pure_powers_are_one_component(self):
+        J = I(3, "x1^64", "x2^64", "x3^64")
+        assert [c.to_ideal() for c in irreducible_decomposition(J)] == [J]
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=120)
+    def test_matches_corner_scan(self, data):
+        nvars = data.draw(st.integers(1, 5))
+        gens = data.draw(raw_ideals(nvars))
+        comps = irreducible_decomposition(_ideal(nvars, gens))
+        assert {c.bounds for c in comps} == raw_irreducible_components(gens, nvars)
 
     def test_rejects_zero_and_unit(self):
         with pytest.raises(ValueError):
@@ -127,11 +141,10 @@ class TestAssociatedPrimes:
         M = Subquotient(I(2, "x1", "x2"), I(2, "x2"))
         assert set(associated_primes(M)) == {prime(2, 2)}
 
-    def test_over_guard_cyclic_refused_with_box_size(self):
-        # the corner scan of (x1^64, x2^64, x3^64) spans 65^3 monomials
-        M = Subquotient.cyclic(I(3, "x1^64", "x2^64", "x3^64"))
-        with pytest.raises(GuardExceededError, match="box of size 274625 exceeds"):
-            associated_primes(M)
+    def test_high_pure_powers_golden(self):
+        # the exponent box of J : x1 holds 270400 monomials, none of them scanned
+        M = Subquotient(I(3, "x1", "x2", "x3"), I(3, "x1^64", "x2^64", "x3^64"))
+        assert associated_primes(M) == (prime(3, 1, 2, 3),)
 
     @given(M=modules())
     @settings(deadline=None, max_examples=80)

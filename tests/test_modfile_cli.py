@@ -16,6 +16,7 @@ from boreltype import (
     parse_module_file,
     serialize_module,
 )
+from boreltype import checks, cli
 from boreltype.cli import main
 from boreltype.errors import InternalInconsistencyError, ParseError
 
@@ -117,6 +118,34 @@ def not_sequentially_cm_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def six_variable_file(tmp_path):
+    # Artinian; its reduced top degree 41 passes the default ceiling 40
+    path = tmp_path / "six.mod"
+    path.write_text(
+        "vars: 6\nnumerator:\nunit\ndenominator:\n"
+        "x1^8\nx1^7*x2\nx2^8\nx3^8\nx4^8\nx5^8\nx6^8\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def forbid_filtration_build(monkeypatch):
+    """Make the filtration build fail loudly: the ceiling refusal comes first."""
+
+    def build(module):
+        raise AssertionError("the filtration build ran before the ceiling check")
+
+    monkeypatch.setattr(cli, "pretty_clean_filtration", build)
+    monkeypatch.setattr(checks, "pretty_clean_filtration", build)
+
+
+CEILING_REFUSAL = (
+    "error: Hilbert function does not vanish up to degree 40; "
+    "not Artinian within the ceiling\n"
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -171,6 +200,33 @@ class TestCliCommands:
         code, report, _ = run_cli(capsys, "check", not_sequentially_cm_file)
         assert code == 2
         assert report["internal_inconsistency"].startswith("no witness with colon (x1)")
+
+    def test_analyze_six_variable_artinian(self, capsys, six_variable_file):
+        code, report, _ = run_cli(capsys, "analyze", six_variable_file)
+        assert code == 0
+        assert report["associated_primes"] == ["x1,x2,x3,x4,x5,x6"]
+
+    @pytest.mark.parametrize("command", ["reg", "chain", "check", "filtration"])
+    def test_six_variable_artinian_refused_on_the_ceiling(
+        self, capsys, monkeypatch, six_variable_file, command
+    ):
+        forbid_filtration_build(monkeypatch)
+        code, report, err = run_cli(capsys, command, six_variable_file)
+        assert code == 3 and report is None
+        assert err == CEILING_REFUSAL
+
+    def test_filtration_refuses_the_ceiling_before_the_build(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # top degree 177, and a filtration of 216000 steps
+        forbid_filtration_build(monkeypatch)
+        path = tmp_path / "p60.mod"
+        path.write_text(
+            "vars: 3\nnumerator:\nunit\ndenominator:\nx1^60\nx2^60\nx3^60\n"
+        )
+        code, report, err = run_cli(capsys, "filtration", str(path))
+        assert code == 3 and report is None
+        assert err == CEILING_REFUSAL
 
     def test_reg_golden(self, capsys, module_file):
         code, report, _ = run_cli(capsys, "reg", module_file)

@@ -13,7 +13,14 @@ from boreltype.errors import (
     ZeroModuleError,
 )
 
-from .support import modules, nonunit_tuples, raw_ideals, raw_member, tuples_of_degree
+from .support import (
+    modules,
+    nonunit_tuples,
+    raw_artinian_hilbert,
+    raw_ideals,
+    raw_member,
+    tuples_of_degree,
+)
 
 
 def I(nvars, *gens):
@@ -190,3 +197,46 @@ class TestTopDegree:
         N = Subquotient(I(2, "x1", "x2^2"), I(2, "x1^2", "x1*x2", "x2^3"))
         assert [N.hilbert_function(d) for d in range(4)] == [0, 1, 1, 0]
         assert N.artinian_hilbert() == [0, 1, 1]
+
+    def test_refusal_names_the_effective_ceiling(self):
+        # top degree 4 passes the ceiling 3
+        N = Subquotient.cyclic(I(2, "x1^3", "x2^3"))
+        assert N.artinian_hilbert(4) == [1, 2, 3, 2, 1]
+        with pytest.raises(NotArtinianError, match="vanish up to degree 3;"):
+            N.artinian_hilbert(3)
+        # the ceiling is raised to the generator degree 3
+        assert Subquotient(I(2, "x1^3", "x2"), I(2, "x1^4", "x2")).artinian_hilbert(
+            0
+        ) == [0, 0, 0, 1]
+        with pytest.raises(NotArtinianError, match="vanish up to degree 3;"):
+            Subquotient(I(2, "x1^3", "x2"), I(2, "x1^5", "x2")).artinian_hilbert(0)
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_degree_scan(self, data):
+        M = data.draw(modules(max_vars=3))
+        artinian = data.draw(st.booleans())
+        if artinian:
+            # pure powers of every variable make the quotient Artinian
+            powers = I(
+                M.nvars,
+                *(f"x{i}^{data.draw(st.integers(1, 4))}" for i in range(1, M.nvars + 1)),
+            )
+            M = Subquotient(M.numerator.add(powers), M.denominator.add(powers))
+        if M.is_zero():
+            return
+        # the default ceiling is only drawn where the scan stops early
+        ceilings = st.integers(0, 8) | st.none() if artinian else st.integers(0, 8)
+        ceiling = data.draw(ceilings)
+        expected = raw_artinian_hilbert(
+            [g.exps for g in M.numerator.gens],
+            [g.exps for g in M.denominator.gens],
+            M.nvars,
+            ceiling,
+        )
+        if isinstance(expected, str):
+            with pytest.raises(NotArtinianError) as exc:
+                M.artinian_hilbert(ceiling)
+            assert str(exc.value) == expected
+        else:
+            assert M.artinian_hilbert(ceiling) == expected
