@@ -62,6 +62,10 @@ class TestVerdict:
     @given(M=modules())
     @settings(deadline=None, max_examples=60)
     def test_heredity_and_two_out_of_three(self, M):
+        # Ass(sub) <= Ass(M) <= Ass(sub) + Ass(quot): a Borel-type module has
+        # Borel-type submodules, and Borel-type sub and quot give a Borel-type
+        # module.  A quotient of a Borel-type module need not be Borel-type
+        # (test_quotient_of_borel_type_need_not_be_borel_type).
         if M.is_zero():
             return
         witness = next(
@@ -73,11 +77,23 @@ class TestVerdict:
         sub = Subquotient(middle, M.denominator)
         quot = Subquotient(M.numerator, middle)
         whole = borel_verdict(M).is_borel
-        parts = borel_verdict(sub).is_borel and borel_verdict(quot).is_borel
+        sub_borel = borel_verdict(sub).is_borel
+        parts = sub_borel and borel_verdict(quot).is_borel
         if whole:
-            assert parts
+            assert sub_borel
         if parts:
             assert whole
+
+    def test_quotient_of_borel_type_need_not_be_borel_type(self):
+        # (x1, x2, x3)/(x1) has Ass {(x1)}; its quotient by the submodule
+        # generated by x3 is (x1, x2, x3)/(x1, x3), with Ass {(x1, x3)}
+        M = Subquotient(I(3, "x1", "x2", "x3"), I(3, "x1"))
+        middle = I(3, "x1", "x3")
+        assert borel_verdict(M).is_borel
+        assert borel_verdict(Subquotient(middle, M.denominator)).is_borel
+        v = borel_verdict(Subquotient(M.numerator, middle))
+        assert not v.is_borel
+        assert [str(p) for p in v.prime_failures] == ["x1,x3"]
 
 
 class TestIdealCriterion:
