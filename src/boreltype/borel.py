@@ -209,25 +209,37 @@ def torsion_identity_report(module: Subquotient) -> dict:
     Checks torsion at x_j against torsion at consecutive products
     x_j x_{j+1} ... x_{j+p}, and torsion at sample monomials u against torsion
     at the least variable of their support.  Input must be of Borel type.
+
+    The torsion submodule at a principal ideal (u) is I meet (J : u^infinity),
+    and J : u^infinity only depends on the support of u: a monomial m lies in
+    it when some power u^k puts m u^k in J, and u^k and the product of the
+    variables of supp(u) divide powers of each other.  So each torsion
+    submodule is computed once per distinct support.  The loops, their order
+    and the first counterexample are those of one computation per monomial.
     """
     if not borel_verdict(module).is_borel:
         raise NotBorelTypeError(f"{module} is not of Borel type")
     n = module.nvars
+    by_support: dict[tuple[int, ...], MonomialIdeal] = {}
+
+    def torsion_at(u: Monomial) -> MonomialIdeal:
+        key = u.support()
+        if key not in by_support:
+            by_support[key] = module.torsion_submodule(MonomialIdeal.principal(u))
+        return by_support[key]
+
     report = {
         "consecutive_products": True,
         "support_reduction": True,
         "counterexample": None,
     }
     for j in range(1, n + 1):
-        base = module.torsion_submodule(
-            MonomialIdeal.principal(Monomial.variable(j, n))
-        )
+        base = torsion_at(Monomial.variable(j, n))
         for p in range(0, n - j + 1):
             exps = [0] * n
             for t in range(j, j + p + 1):
                 exps[t - 1] = 1
-            prod = Monomial(tuple(exps))
-            if module.torsion_submodule(MonomialIdeal.principal(prod)) != base:
+            if torsion_at(Monomial(tuple(exps))) != base:
                 report["consecutive_products"] = False
                 report["counterexample"] = {"kind": "product", "j": j, "p": p}
                 return report
@@ -236,11 +248,7 @@ def torsion_identity_report(module: Subquotient) -> dict:
             if u.is_unit():
                 continue
             _, least = u.radical_and_min_support()
-            lhs = module.torsion_submodule(MonomialIdeal.principal(u))
-            rhs = module.torsion_submodule(
-                MonomialIdeal.principal(Monomial.variable(least, n))
-            )
-            if lhs != rhs:
+            if torsion_at(u) != torsion_at(Monomial.variable(least, n)):
                 report["support_reduction"] = False
                 report["counterexample"] = {"kind": "monomial", "u": str(u)}
                 return report

@@ -268,30 +268,33 @@ def _cmd_filtration(module: Subquotient, options: CheckOptions):
     return report, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+# fuzz exits with its gravest instance's code: a defect outranks a failed
+# cross-check, which outranks a refused module
+_FUZZ_SEVERITY = {EXIT_OK: 0, EXIT_INPUT: 1, EXIT_CHECK_FAILED: 2, EXIT_INTERNAL: 3}
+
+
 def _cmd_fuzz(args, options: CheckOptions):
     if args.nvars < 2:
         raise ValueError("fuzz needs at least two variables")
     corpus = generate_corpus(args.seed, args.count, args.gen, args.nvars, args.maxdeg)
     instances = []
-    passed = failed = internal = 0
+    counts = dict.fromkeys(_FUZZ_SEVERITY, 0)
     worst = EXIT_OK
     for index, module in enumerate(corpus):
-        report, code = run_check(module, options)
-        worst = max(worst, code)
-        if code == EXIT_OK:
-            passed += 1
-        elif code == EXIT_INTERNAL:
-            internal += 1
+        record = {"index": index, "module": module_json(module)}
+        try:
+            report, code = run_check(module, options)
+        except NotArtinianError as exc:
+            # one module past the ceiling refuses that module, not the corpus
+            code = EXIT_INPUT
+            record["refused"] = str(exc)
         else:
-            failed += 1
-        record = {
-            "index": index,
-            "module": module_json(module),
-            "exit_code": code,
-            "checks": {c["name"]: c["status"] for c in report["checks"]},
-        }
-        if "internal_inconsistency" in report:
-            record["internal_inconsistency"] = report["internal_inconsistency"]
+            record["checks"] = {c["name"]: c["status"] for c in report["checks"]}
+            if "internal_inconsistency" in report:
+                record["internal_inconsistency"] = report["internal_inconsistency"]
+        record["exit_code"] = code
+        counts[code] += 1
+        worst = max(worst, code, key=_FUZZ_SEVERITY.__getitem__)
         instances.append(record)
     report = {
         "seed": args.seed,
@@ -301,9 +304,10 @@ def _cmd_fuzz(args, options: CheckOptions):
         "max_degree": args.maxdeg,
         "aggregate": {
             "instances": len(corpus),
-            "passed": passed,
-            "failed": failed,
-            "internal": internal,
+            "passed": counts[EXIT_OK],
+            "failed": counts[EXIT_CHECK_FAILED],
+            "internal": counts[EXIT_INTERNAL],
+            "refused": counts[EXIT_INPUT],
         },
         "instances": instances,
     }

@@ -2,7 +2,10 @@
 
 Everything in the raw_* family works on plain exponent tuples and never calls
 into the package, so it can serve as an independent oracle for membership,
-colon, intersection, and saturation results.
+colon, intersection, and saturation results.  The one exception is
+raw_torsion_identity_report, the per-monomial loop the package's report
+must agree with, which calls the package's torsion submodule for every
+monomial it tests.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from boreltype import Monomial, MonomialIdeal, Subquotient
+from boreltype import Monomial, MonomialIdeal, Subquotient, monomials_of_degree
+from boreltype.borel import TORSION_SAMPLE_DEGREE
 
 
 def raw_divides(a, b) -> bool:
@@ -216,6 +220,86 @@ def raw_rank_fraction(rows) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def raw_upper_koszul_faces(gens, a):
+    """The faces of the upper Koszul complex at a, by its definition: every
+    subset F of the support of a with a - F in the ideal.  Faces are returned
+    as frozensets of 1-based variable indices."""
+    support = [i + 1 for i, e in enumerate(a) if e > 0]
+    faces = set()
+    for k in range(len(support) + 1):
+        for subset in itertools.combinations(support, k):
+            lowered = tuple(e - (i + 1 in subset) for i, e in enumerate(a))
+            if raw_member(lowered, gens):
+                faces.add(frozenset(subset))
+    return faces
+
+
+def raw_reduced_homology_ranks(faces, rank):
+    """Nonzero reduced homology ranks by dimension of a simplicial complex
+    given as a collection of vertex sets, with faces as sorted tuples and
+    boundary signs from the position of the dropped vertex; rank computes
+    the rank of a list of integer rows."""
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    if not by_dim:
+        return {}
+    boundary = {}
+    for k in range(max(by_dim) + 1):
+        sources, targets = by_dim.get(k, []), by_dim.get(k - 1, [])
+        rows = []
+        for t in targets:
+            row = []
+            for face in sources:
+                entry = 0
+                for j in range(len(face)):
+                    if face[:j] + face[j + 1 :] == t:
+                        entry = -1 if j % 2 else 1
+                row.append(entry)
+            rows.append(row)
+        boundary[k] = rank(rows) if sources and targets else 0
+    out = {}
+    for k in range(-1, max(by_dim) + 1):
+        h = len(by_dim.get(k, [])) - boundary.get(k + 1, 0) - boundary.get(k, 0)
+        if h:
+            out[k] = h
+    return out
+
+
+def raw_torsion_identity_report(module: Subquotient) -> dict:
+    """The torsion identity report with one torsion submodule computed per
+    monomial tested, in the order the package's report tests them."""
+    n = module.nvars
+
+    def torsion(exps):
+        return module.torsion_submodule(MonomialIdeal.principal(Monomial(tuple(exps))))
+
+    def variable(j):
+        return tuple(int(i == j) for i in range(1, n + 1))
+
+    report = {
+        "consecutive_products": True,
+        "support_reduction": True,
+        "counterexample": None,
+    }
+    for j in range(1, n + 1):
+        base = torsion(variable(j))
+        for p in range(n - j + 1):
+            product = tuple(int(j <= i <= j + p) for i in range(1, n + 1))
+            if torsion(product) != base:
+                report["consecutive_products"] = False
+                report["counterexample"] = {"kind": "product", "j": j, "p": p}
+                return report
+    for d in range(1, TORSION_SAMPLE_DEGREE + 1):
+        for u in monomials_of_degree(n, d):
+            least = next(i for i, e in enumerate(u.exps, 1) if e)
+            if torsion(u.exps) != torsion(variable(least)):
+                report["support_reduction"] = False
+                report["counterexample"] = {"kind": "monomial", "u": str(u)}
+                return report
+    return report
 
 
 def raw_primes_never_grow(prime_sets) -> bool:

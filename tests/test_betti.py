@@ -18,10 +18,20 @@ from boreltype import (
     upper_koszul_complex,
 )
 from boreltype import betti as betti_module
-from boreltype.betti import _rank_rational
+from boreltype.betti import _rank_mod2, _rank_rational
 from boreltype.errors import GuardExceededError
 
-from .support import gens_of, monomial_ideals, raw_member, raw_rank_fraction
+from .support import (
+    exponent_tuples,
+    gens_of,
+    ideal_of,
+    monomial_ideals,
+    raw_ideals,
+    raw_member,
+    raw_rank_fraction,
+    raw_reduced_homology_ranks,
+    raw_upper_koszul_faces,
+)
 
 
 def I(nvars, *gens):
@@ -55,6 +65,27 @@ class TestUpperKoszul:
     def test_multidegree_length_checked(self):
         with pytest.raises(ValueError):
             upper_koszul_complex(I(2, "x1"), (1, 0, 0))
+
+    def test_multidegree_validated(self):
+        with pytest.raises(ValueError):
+            upper_koszul_complex(I(2, "x1"), (1, -1))
+
+    @given(
+        case=st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                raw_ideals(n, max_gens=5, max_exp=3),
+                st.one_of(st.just((0,) * n), exponent_tuples(n, max_exp=4)),
+            )
+        )
+    )
+    @example(case=([(1, 0, 2)], (0, 0, 0)))
+    @settings(max_examples=300)
+    def test_faces_match_the_definition(self, case):
+        # exponents up to 4 over generators up to 3 reach past the lcm box
+        gens, a = case
+        k = upper_koszul_complex(ideal_of(len(a), gens), a)
+        assert k.vertices == tuple(i + 1 for i, e in enumerate(a) if e)
+        assert k.faces == raw_upper_koszul_faces(gens, a)
 
 
 class TestSimplicialComplex:
@@ -127,6 +158,27 @@ class TestHomology:
     @settings(max_examples=300)
     def test_rational_rank_matches_fraction_elimination(self, rows):
         assert _rank_rational(rows) == raw_rank_fraction(rows)
+
+    @given(
+        facets=st.lists(
+            st.frozensets(st.integers(1, 5), max_size=5), min_size=0, max_size=6
+        )
+    )
+    @settings(max_examples=200)
+    def test_ranks_match_the_tuple_boundary_matrices(self, facets):
+        faces = {
+            frozenset(sub)
+            for f in facets
+            for k in range(len(f) + 1)
+            for sub in itertools.combinations(sorted(f), k)
+        }
+        k = complex_of(faces, range(1, 6))
+        assert reduced_homology_ranks(k, "q") == raw_reduced_homology_ranks(
+            faces, raw_rank_fraction
+        )
+        assert reduced_homology_ranks(k, "f2") == raw_reduced_homology_ranks(
+            faces, _rank_mod2
+        )
 
     def test_rank_ignores_face_insertion_order(self):
         rng = random.Random(7)

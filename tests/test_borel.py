@@ -22,11 +22,21 @@ from boreltype import (
 )
 from boreltype.errors import InternalInconsistencyError, NotBorelTypeError
 
-from .support import modules, monomial_ideals
+from .support import modules, monomial_ideals, raw_torsion_identity_report
 
 
 def I(nvars, *gens):
     return MonomialIdeal.from_text_lines(nvars, gens)
+
+
+@st.composite
+def borel_modules(draw, max_vars: int = 4):
+    """A drawn module when it is of Borel type, else the quotient ring of the
+    exchange closure of its denominator, which is strongly stable."""
+    M = draw(modules(max_vars=max_vars))
+    if M.is_zero() or not borel_verdict(M).is_borel:
+        M = Subquotient.cyclic(exchange_closure_ideal(M.nvars, M.denominator.gens))
+    return M
 
 
 class TestVerdict:
@@ -260,3 +270,49 @@ class TestTorsionIdentities:
             return
         report = torsion_identity_report(M)
         assert report["consecutive_products"] and report["support_reduction"]
+
+    @given(M=borel_modules())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_one_torsion_submodule_per_monomial(self, M):
+        assert torsion_identity_report(M) == raw_torsion_identity_report(M)
+
+    def test_one_torsion_submodule_per_distinct_support(self, monkeypatch):
+        # n = 4: the 10 consecutive supports, plus {1,3}, {1,4} and {2,4}
+        # from the degree-two samples; the per-monomial reference makes 42
+        M = Subquotient.cyclic(exchange_closure_ideal(4, I(4, "x2*x3^2", "x4^3").gens))
+        borel_verdict(M)  # cached before counting
+        supports = []
+        original = Subquotient.torsion_submodule
+
+        def counting(module, support):
+            supports.append(support.gens[0].support())
+            return original(module, support)
+
+        monkeypatch.setattr(Subquotient, "torsion_submodule", counting)
+        report = torsion_identity_report(M)
+        assert report["counterexample"] is None
+        assert len(supports) == len(set(supports)) == 13
+        supports.clear()
+        raw_torsion_identity_report(M)
+        assert len(supports) == 42
+
+    @pytest.mark.parametrize(
+        "corrupted", [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]
+    )
+    def test_corrupted_support_gives_the_reference_counterexample(
+        self, monkeypatch, corrupted
+    ):
+        M = Subquotient.cyclic(I(3, "x1^2", "x1*x2", "x2^3", "x1*x3"))
+        borel_verdict(M)  # cached before the corruption
+        original = Subquotient.torsion_submodule
+
+        def corrupting(module, support):
+            if support.gens[0].support() == corrupted:
+                return MonomialIdeal.zero(module.nvars)
+            return original(module, support)
+
+        monkeypatch.setattr(Subquotient, "torsion_submodule", corrupting)
+        report = torsion_identity_report(M)
+        assert report == raw_torsion_identity_report(M)
+        # torsion at x3 alone is only ever compared with itself
+        assert (report["counterexample"] is None) == (corrupted == (3,))

@@ -18,7 +18,7 @@ from boreltype import (
 )
 from boreltype import checks, cli
 from boreltype.cli import main
-from boreltype.errors import InternalInconsistencyError, ParseError
+from boreltype.errors import InternalInconsistencyError, NotArtinianError, ParseError
 
 from .support import modules
 
@@ -321,6 +321,52 @@ class TestCliCommands:
             "internal_inconsistency" not in r for r in report["instances"][:28]
         )
 
+
+    def test_fuzz_refusal_is_a_record_not_a_lost_corpus(self, capsys):
+        code, report, err = run_cli(
+            capsys, "fuzz", "--seed", "1", "--count", "10", "--gen", "random",
+            "--maxdeg", "4", "--ceiling", "0",
+        )
+        assert code == 3 and err == ""
+        assert report["aggregate"] == {
+            "instances": 10, "passed": 9, "failed": 0, "internal": 0, "refused": 1
+        }
+        refused = [r for r in report["instances"] if "refused" in r]
+        assert len(refused) == 1 and refused[0]["exit_code"] == 3
+        assert "checks" not in refused[0]
+        assert refused[0]["refused"].startswith("Hilbert function does not vanish")
+
+    def test_fuzz_refusal_never_hides_an_internal_inconsistency(self, capsys):
+        code, report, _ = run_cli(
+            capsys, "fuzz", "--seed", "5", "--count", "29", "--gen", "random",
+            "--vars", "4", "--maxdeg", "4", "--ceiling", "2",
+        )
+        assert report["aggregate"]["refused"] == 1
+        assert report["aggregate"]["internal"] == 1
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "codes, expected",
+        [((3, 0), 3), ((0, 3), 3), ((3, 1), 1), ((1, 3), 1), ((3, 2, 1), 2)],
+    )
+    def test_fuzz_exit_ranks_internal_over_failed_over_refused(
+        self, capsys, monkeypatch, codes, expected
+    ):
+        # 3 stands for a refused module, any other code for run_check's
+        outcomes = iter(codes)
+
+        def fake_run_check(module, options):
+            code = next(outcomes)
+            if code == 3:
+                raise NotArtinianError("past the ceiling")
+            return {"checks": []}, code
+
+        monkeypatch.setattr(cli, "run_check", fake_run_check)
+        code, report, _ = run_cli(
+            capsys, "fuzz", "--seed", "3", "--count", str(len(codes)), "--vars", "2"
+        )
+        assert code == expected
+        assert report["aggregate"]["refused"] == codes.count(3)
 
 class TestCliErrors:
     def test_parse_error_exit(self, capsys, tmp_path):
