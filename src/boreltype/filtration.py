@@ -1,31 +1,59 @@
 """Prime filtrations of Borel-type modules with non-increasing primes.
 
-The builder walks the sequential chain from the bottom.  In chain step r each
-appended factor is S/P, P = (x1..xr), so a witness m in target outside current
-needs (current : m) = P: m lies in current : P and outside the saturation
-current : (x_{r+1}...x_n)^infinity.  Let D_i be generated by g/x_i over the
-generators g of current divisible by x_i, so current : x_i = current + D_i.
-As current lies in target, distributivity of monomial ideals gives
-target meet (current : P) = current + A, A = target meet D_1 meet ... meet D_r.
-The least monomial of an ideal outside another ideal is a minimal generator
-of the first, so the least witness in (degree, exponents) order is one of A's
-generators.  The filtration is pretty clean, and its per-step counts match
-the dimensions of the reduced chain quotients.
+The builder walks the sequential chain from the bottom.  In chain step r, with
+prime P = (x1..xr), start C0 and target T, each appended factor is S/P, so a
+witness m in T outside current needs (current : m) = P.  The witness taken is
+always the least one in (degree, exponents) order.
+
+When x_{r+1}, ..., x_n is a regular sequence on T/C0 (the step's certificate,
+chain.regular_sequence_holds), T/C0 is Cohen-Macaulay and its Stanley spaces
+w K[x_{r+1}..x_n] partition T minus C0, w running over the standard monomials
+W of the reduced quotient T/(C0 + (x_{r+1}, ..., x_n)T): a filtration by S/P
+factors is a Stanley decomposition (Herzog-Popescu).  The owner of a monomial
+u in T outside C0 is the w whose space holds u: u with trailing variables
+stripped while the result stays in T.  By induction current minus C0 is the
+union of the spaces of the witnesses placed so far, so m in W is a witness
+exactly when, for each i <= r, m x_i lies in C0 or its owner is placed.  A
+witness w v with v a nonunit in the trailing variables is never the least:
+w x_i and w v x_i share their owner, or lie in C0 together, so w qualifies
+whenever w v does.  So W is enumerated once and the witnesses come off a heap
+of the qualifying ones, with no colon or intersection per witness.
+
+A step whose certificate fails is not Cohen-Macaulay, and the partition may
+not exist: there the least witness is searched for directly, as a minimal
+generator of T meet (current : P) outside current : (x_{r+1}...x_n)^infinity.
+That search raises WitnessExhaustionError when no generator qualifies, as on
+Borel-type modules that are not sequentially Cohen-Macaulay.  The filtration
+is pretty clean, and its per-step counts match the dimensions of the reduced
+chain quotients.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .borel import borel_verdict
-from .chain import SequentialChain, build_chain, reduced_hilbert
+from .chain import (
+    SequentialChain,
+    build_chain,
+    reduced_hilbert,
+    regular_sequence_holds,
+)
 from .decomposition import (
     MonomialPrime,
     associated_primes,
     minimal_primes,
     prime_sort_key,
 )
-from .errors import NotBorelTypeError, WitnessExhaustionError, ZeroModuleError
+from .errors import (
+    InternalInconsistencyError,
+    NotBorelTypeError,
+    WitnessExhaustionError,
+    ZeroModuleError,
+)
 from .monomial import Monomial, MonomialIdeal, trusted_monomial
 from .subquotient import Subquotient
 
@@ -52,14 +80,14 @@ class PrimeFiltration:
 def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     """Build a prime filtration with non-increasing primes for a Borel module.
 
-    In chain step r the witness is the least minimal generator, by (degree,
-    exponents), of A = target meet D_1 meet ... meet D_r that lies outside
-    current : (x_{r+1}...x_n)^infinity: the monomial a scan of the exponent
-    box of target and current would find first.  A is built from the D_i
-    rather than by intersecting the colons current : x_i over all of P; that
-    route measured about three times slower than the box scan on
-    check-stable.  Raises WitnessExhaustionError when no generator qualifies,
-    as on Borel-type modules that are not sequentially Cohen-Macaulay.
+    Each witness is the least, by (degree, exponents), of the monomials in
+    the step's target outside current whose colon is exactly the step prime.
+    On a chain step with the regular-sequence certificate these are read off
+    the step's Stanley spaces (_stanley_witnesses); on any other step they
+    are searched for among the generators of an intersection of colons
+    (_searched_witnesses), which raises WitnessExhaustionError when none
+    exists.  A certified step whose witnesses do not reach its target is an
+    implementation defect (InternalInconsistencyError).
     """
     if module.is_zero():
         raise ZeroModuleError("the zero module has no prime filtration")
@@ -69,28 +97,119 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     n = module.nvars
     steps: list[FiltrationStep] = []
     current = module.denominator
-    for step in chain.steps:
+    for k, step in enumerate(chain.steps, 1):
         r = step.variable_index
         prime = MonomialPrime(n, tuple(range(1, r + 1)))
         target = step.ideal
-        while current != target:
-            admissible = target
-            for i in range(r, 0, -1):  # D_r first keeps the intersections small
-                x = Monomial.variable(i, n)
-                shifted = tuple(g.div(x) for g in current.gens if x.divides(g))
-                admissible = admissible.intersect(MonomialIdeal(n, shifted))
-            # generators of current : (x_{r+1}...x_n)^infinity
-            sat = [trusted_monomial(h.exps[:r] + (0,) * (n - r)) for h in current.gens]
-            outside = [g for g in admissible.gens if not any(s.divides(g) for s in sat)]
-            if not outside:
-                raise WitnessExhaustionError(
-                    f"no witness with colon ({prime}) while extending {current} "
-                    f"toward {target}"
-                )
-            witness = min(outside, key=lambda g: (g.degree, g.exps))
+        if regular_sequence_holds(chain, k):
+            witnesses = _stanley_witnesses(Subquotient(target, current), r)
+        else:
+            witnesses = _searched_witnesses(current, target, r, prime)
+        for witness in witnesses:
             current = MonomialIdeal(n, current.gens + (witness,))
             steps.append(FiltrationStep(current, witness, prime))
+        if current != target:
+            raise InternalInconsistencyError(
+                f"the witnesses of chain step {k} extend to {current}, not to {target}"
+            )
     return PrimeFiltration(module, tuple(steps))
+
+
+def _stanley_witnesses(quotient: Subquotient, r: int) -> list[Monomial]:
+    """The witnesses of a certified chain step T/C0 in the order they are
+    placed: W, the standard monomials of the reduced quotient, popped from a
+    heap keyed by (degree, exponents) once every m x_i, i <= r, lies in C0 or
+    has its owner placed.
+
+    Each w in W is g u for a generator g of T and u in K[x1..xr] (a trailing
+    variable of w/g could be stripped), and each monomial between g and w is
+    in W too, so W is the walk in x1..xr from T's generators outside the
+    reduced quotient's denominator.  The walk is finite exactly when the
+    reduced quotient is Artinian, which is tested first.
+    """
+    n = quotient.nvars
+    reduced = quotient.artinian_reduction(r)
+    if not reduced.is_artinian():
+        raise InternalInconsistencyError(
+            f"the reduced quotient {reduced} of a certified chain step at "
+            f"x{r} is not Artinian"
+        )
+    target, start, lowered = quotient.numerator, quotient.denominator, reduced.denominator
+
+    def owner(e):
+        # a divisor of a monomial outside T is outside T, so one pass over
+        # the trailing variables strips each as far as it goes
+        for j in range(r, n):
+            while e[j]:
+                lower = e[:j] + (e[j] - 1,) + e[j + 1 :]
+                if not target.member(trusted_monomial(lower)):
+                    break
+                e = lower
+        return e
+
+    frontier = [g.exps for g in target.gens if not lowered.member(g)]
+    waiting = dict.fromkeys(frontier, 0)  # W, with each one's unplaced owners
+    dependents = defaultdict(list)
+    while frontier:
+        e = frontier.pop()
+        for i in range(r):
+            up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            if up not in waiting:
+                m = trusted_monomial(up)
+                if not lowered.member(m):
+                    waiting[up] = 0
+                    frontier.append(up)
+                elif r == n or start.member(m):  # for r = n, lowered is C0
+                    continue
+                else:
+                    up = owner(up)
+            waiting[e] += 1
+            dependents[up].append(e)
+    ready = [(sum(e), e) for e, count in waiting.items() if not count]
+    heapify(ready)
+    order = []
+    while ready:
+        _, e = heappop(ready)
+        order.append(trusted_monomial(e))
+        for d in dependents[e]:
+            waiting[d] -= 1
+            if not waiting[d]:
+                heappush(ready, (sum(d), d))
+    return order
+
+
+def _searched_witnesses(
+    current: MonomialIdeal, target: MonomialIdeal, r: int, prime: MonomialPrime
+) -> Iterator[Monomial]:
+    """Yield the least witness in (degree, exponents) order, by intersecting
+    colons, until current reaches target.
+
+    Let D_i be generated by g/x_i over the generators g of current divisible
+    by x_i, so current : x_i = current + D_i.  As current lies in target,
+    distributivity of monomial ideals gives target meet (current : P) =
+    current + A, A = target meet D_1 meet ... meet D_r.  The least monomial
+    of an ideal outside another ideal is a minimal generator of the first, so
+    the least witness is the least generator of A that lies outside the
+    saturation current : (x_{r+1}...x_n)^infinity.
+    """
+    n = current.nvars
+    while current != target:
+        admissible = target
+        for i in range(r, 0, -1):  # D_r first keeps the intersections small
+            x = Monomial.variable(i, n)
+            shifted = tuple(g.div(x) for g in current.gens if x.divides(g))
+            admissible = admissible.intersect(MonomialIdeal(n, shifted))
+        # generators of current : (x_{r+1}...x_n)^infinity
+        sat = [trusted_monomial(h.exps[:r] + (0,) * (n - r)) for h in current.gens]
+        outside = [g for g in admissible.gens if not any(s.divides(g) for s in sat)]
+        if not outside:
+            raise WitnessExhaustionError(
+                f"no witness with colon ({prime}) while extending {current} "
+                f"toward {target}"
+            )
+        witness = min(outside, key=lambda g: (g.degree, g.exps))
+        yield witness
+        current = MonomialIdeal(n, current.gens + (witness,))
 
 
 def primes_never_grow(primes) -> bool:
@@ -153,7 +272,11 @@ def filtration_length_report(
     filtration: PrimeFiltration, chain: SequentialChain, ceiling=None
 ) -> dict:
     """Per chain step, the number of filtration factors at its prime must be
-    the vector-space dimension of the reduced chain quotient."""
+    the vector-space dimension of the reduced chain quotient.
+
+    The dimensions come from reduced_hilbert's degree-by-degree count, not
+    from the builder's walk over the same standard monomials, so the report
+    stays an independent check of the builder."""
     entries = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):
         prime = MonomialPrime(

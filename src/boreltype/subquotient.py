@@ -97,12 +97,25 @@ class Subquotient:
         lowered = self.denominator.add(trailing.multiply(self.numerator))
         return Subquotient(self.numerator, lowered)
 
+    def is_artinian(self) -> bool:
+        """Whether L/D has finite length: L lies in the saturation
+        D : m^infinity, m = (x1..xn).  That saturation is the intersection
+        of the D : x_i^infinity, and a generator g of L lies in D : x_i^infinity
+        exactly when x_i^{b_i} g lies in D, b_i being the largest exponent of
+        x_i among D's generators; so no saturation is built."""
+        den = self.denominator
+        bounds = den.max_exponents()
+        return all(
+            den.member(trusted_monomial(g.exps[:i] + (e + b,) + g.exps[i + 1 :]))
+            for g in self.numerator.gens
+            for i, (e, b) in enumerate(zip(g.exps, bounds))
+        )
+
     def artinian_hilbert(self, ceiling=None) -> list[int]:
         """The Hilbert function in degrees 0..top, for Artinian modules; its
         last entry is the top nonvanishing degree's value.
 
-        L/D is Artinian exactly when L lies in the saturation D : m^infinity,
-        m = (x1..xn).  Its socle monomials are then the corners x^{b-1} of the
+        For an Artinian L/D the socle monomials are the corners x^{b-1} of the
         irreducible components (x1^{b1}, ..., xn^{bn}) of D that lie in L, so
         top = max (b1 - 1) + ... + (bn - 1) over those corners, and only
         degrees 0..top are scanned.  A module that is not Artinian, or whose
@@ -117,13 +130,12 @@ class Subquotient:
         if ceiling is None:
             ceiling = max(10 * max(bound, 1), 40)
         ceiling = max(ceiling, bound)
-        n, den = self.nvars, self.denominator
         top = ceiling + 1  # refused unless the module is Artinian
-        if den.saturate(MonomialIdeal.prefix(n, n)).contains(self.numerator):
+        if self.is_artinian():
             corners = (
                 trusted_monomial(tuple(e - 1 for _, e in comp.bounds))
-                for comp in irreducible_decomposition(den)
-                if len(comp.bounds) == n
+                for comp in irreducible_decomposition(self.denominator)
+                if len(comp.bounds) == self.nvars
             )
             top = max(c.degree for c in corners if self.numerator.member(c))
         if top > ceiling:

@@ -10,22 +10,39 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from boreltype import (
+    ChainStep,
     FiltrationStep,
     Monomial,
     MonomialIdeal,
     MonomialPrime,
     PrimeFiltration,
+    SequentialChain,
     Subquotient,
     borel_verdict,
     build_chain,
+    exchange_closure_ideal,
     filtration_length_report,
     pretty_clean_filtration,
     verify_filtration,
 )
-from boreltype.errors import NotBorelTypeError, WitnessExhaustionError, ZeroModuleError
+from boreltype import filtration as filtration_module
+from boreltype.errors import (
+    InternalInconsistencyError,
+    NotBorelTypeError,
+    WitnessExhaustionError,
+    ZeroModuleError,
+)
 from boreltype.filtration import primes_never_grow
 
-from .support import gens_of, ideal_of, modules, raw_primes_never_grow, raw_witnesses
+from .support import (
+    exponent_tuples,
+    gens_of,
+    ideal_of,
+    modules,
+    nonunit_tuples,
+    raw_primes_never_grow,
+    raw_witnesses,
+)
 
 
 def I(nvars, *gens):
@@ -247,6 +264,124 @@ class TestWitnessParity:
         # of Borel type but not sequentially Cohen-Macaulay
         M = Subquotient(I(4, "x4^2", "x1^2*x3*x4", "x1^3"), I(4, "x1^3"))
         assert self.matches_box_scan(M) is not None
+
+    # Every distinct Borel-type module of generate_corpus(seed, 60, "random",
+    # n, 4), seeds 1-8, n = 2-5, that is not sequentially Cohen-Macaulay: its
+    # one chain step, at x1, fails the regular-sequence certificate, so the
+    # colon intersection search must get stuck exactly where the box scan does
+    @pytest.mark.parametrize(
+        "nvars, numerator, denominator",
+        [
+            (3, ("x3", "x2", "x1^2"), ("x1^2",)),  # seed 1
+            (5, ("x5", "x2*x4^2", "x1"), ("x1",)),  # seed 1
+            # the scan first takes x2^3*x3*x4, which is not a standard monomial
+            # of the step's reduced quotient, and only then gets stuck
+            (4, ("x2^3*x4", "x1*x2*x3*x4", "x1^2"), ("x1^2",)),  # seed 2
+            (5, ("x4^2", "x2", "x1"), ("x1",)),  # seed 4
+            (4, ("x4^2", "x1^2*x3*x4", "x1^3"), ("x1^3",)),  # seed 5
+            (3, ("x1*x2*x3^2", "x1*x2^2", "x1^3*x2"), ("x1^3*x2",)),  # seed 6
+            (5, ("x5", "x2*x3*x4^2", "x1^2"), ("x1^2",)),  # seed 6
+        ],
+    )
+    def test_not_sequentially_cohen_macaulay(self, nvars, numerator, denominator):
+        M = Subquotient(I(nvars, *numerator), I(nvars, *denominator))
+        assert borel_verdict(M).is_borel
+        assert self.matches_box_scan(M) is not None
+
+    @pytest.mark.parametrize(
+        "nvars, numerator, denominator",
+        [
+            # from generate_corpus(1, 60, "random", 2, 4) and (2, 60, "random",
+            # 5, 4): some m x_i of a certified step lies in x_j T for a
+            # trailing x_j, so its owner is found by stripping x_j
+            (2, ("x2^2", "x1*x2"), ("x1^3*x2",)),
+            (5, ("x3*x5", "x2", "x1"), ("x2^2", "x1")),
+        ],
+    )
+    def test_owner_found_by_stripping_trailing_variables(
+        self, nvars, numerator, denominator
+    ):
+        M = Subquotient(I(nvars, *numerator), I(nvars, *denominator))
+        assert self.matches_box_scan(M) is None
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_strongly_stable_modules(self, data):
+        # S/J and (J + K)/J for a strongly stable J: of Borel type, as every
+        # associated prime of a submodule of S/J is one of S/J; often with
+        # several chain steps, and now and then with an owner found by
+        # stripping or a step that is not Cohen-Macaulay
+        nvars = data.draw(st.integers(3, 5))
+        degree = 8 - nvars
+
+        def monomials(min_size, max_size):
+            variables = st.lists(st.integers(0, nvars - 1), min_size=1, max_size=degree)
+            drawn = data.draw(st.lists(variables, min_size=min_size, max_size=max_size))
+            return [Monomial(tuple(v.count(i) for i in range(nvars))) for v in drawn]
+
+        J = exchange_closure_ideal(nvars, monomials(1, 3))
+        if data.draw(st.booleans()):
+            M = Subquotient.cyclic(J)
+        else:
+            M = Subquotient(J.add(MonomialIdeal(nvars, tuple(monomials(1, 2)))), J)
+        assume(not M.is_zero())
+        self.matches_box_scan(M)
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_artinian_subquotients(self, data):
+        # pure powers make the module Artinian: one chain step at (x1..xn),
+        # with a witness per standard monomial
+        nvars = data.draw(st.integers(2, 4))
+        cap = {2: 6, 3: 4, 4: 3}[nvars]
+        powers = [
+            tuple(data.draw(st.integers(1, cap)) if j == i else 0 for j in range(nvars))
+            for i in range(nvars)
+        ]
+        extra = data.draw(st.lists(nonunit_tuples(nvars, cap), max_size=3))
+        denominator = ideal_of(nvars, powers + extra)
+        if data.draw(st.booleans()):
+            M = Subquotient.cyclic(denominator)
+        else:
+            tops = data.draw(st.lists(exponent_tuples(nvars, cap), min_size=1, max_size=2))
+            M = Subquotient(denominator.add(ideal_of(nvars, tops)), denominator)
+        assume(not M.is_zero())
+        assert self.matches_box_scan(M) is None
+
+
+class TestStanleyWitnesses:
+    def test_intersections_do_not_grow_with_length(self, monkeypatch):
+        # on certified steps the witnesses come from the standard monomials,
+        # with no ideal intersection per witness; the verdict and chain are
+        # cached first, so only the builder's own intersections are counted
+        def build(a):
+            M = cyclic(3, f"x1^{a}", f"x2^{a}", f"x3^{a}", "x1*x2*x3")
+            borel_verdict(M), build_chain(M)
+            calls = []
+            original = MonomialIdeal.intersect
+
+            def counted(self, other):
+                calls.append(1)
+                return original(self, other)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(MonomialIdeal, "intersect", counted)
+                length = len(pretty_clean_filtration(M))
+            return length, len(calls)
+
+        (short, few), (long, many) = build(3), build(6)
+        assert (short, long) == (19, 91)
+        assert few == many
+
+    def test_non_artinian_reduction_of_a_certified_step_is_refused(self, monkeypatch):
+        # a chain whose only step claims r = n on S/(x1): the step passes the
+        # (empty) regular-sequence test, but its reduced quotient K[x2] is
+        # infinite, so enumerating its standard monomials would never end
+        M = cyclic(2, "x1")
+        fake = SequentialChain(M, (ChainStep(2, MonomialIdeal.unit(2)),))
+        monkeypatch.setattr(filtration_module, "build_chain", lambda module: fake)
+        with pytest.raises(InternalInconsistencyError, match="is not Artinian"):
+            pretty_clean_filtration(M)
 
 
 def _shuffled_witness_filtration(module, rng) -> PrimeFiltration:

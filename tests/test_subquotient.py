@@ -211,6 +211,27 @@ class TestTopDegree:
         with pytest.raises(NotArtinianError, match="vanish up to degree 3;"):
             Subquotient(I(2, "x1^3", "x2"), I(2, "x1^5", "x2")).artinian_hilbert(0)
 
+    def test_is_artinian_golden(self):
+        assert Subquotient(I(2, "x1"), I(2, "x1^2", "x1*x2")).is_artinian()
+        assert Subquotient(I(2, "x1", "x2"), I(2, "x1^3", "x2")).is_artinian()
+        assert not Subquotient.cyclic(I(2, "x1")).is_artinian()
+        # x1 is nilpotent on the quotient, x2 is not
+        assert not Subquotient(I(2, "x1", "x2"), I(2, "x1^2")).is_artinian()
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_is_artinian_is_the_saturation_containment(self, data):
+        M = data.draw(modules())
+        n = M.nvars
+        # pure powers of some variables; of all of them, the module is Artinian
+        indices = data.draw(st.sets(st.integers(1, n)))
+        if indices:
+            powers = I(n, *(f"x{i}^{data.draw(st.integers(1, 3))}" for i in indices))
+            M = Subquotient(M.numerator.add(powers), M.denominator.add(powers))
+        maximal = MonomialIdeal.prefix(n, n)
+        expected = M.denominator.saturate(maximal).contains(M.numerator)
+        assert M.is_artinian() == expected
+
     @given(data=st.data())
     @settings(deadline=None, max_examples=150)
     def test_matches_degree_scan(self, data):
