@@ -128,12 +128,15 @@ def reduced_hilbert(
     )
 
 
+@lru_cache(maxsize=None)
 def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:
     """Whether x_{n_step+1}, ..., x_n is a regular sequence on the step quotient.
 
     Checks each variable in turn for being a nonzerodivisor on the quotient by
     the previously consumed ones: x is a nonzerodivisor on L/D exactly when
-    (D : x) meet L sits inside D.
+    (D : x) meet L sits inside D.  Memoized like reduced_hilbert, since
+    sequential_cm_report and the filtration builder both read it for the
+    same chain.
     """
     if not 1 <= step_number <= len(chain.steps):
         raise ValueError(f"step {step_number} outside 1..{len(chain.steps)}")

@@ -39,9 +39,6 @@ class MonomialPrime:
     def is_initial_segment(self) -> bool:
         return self.variables == tuple(range(1, len(self.variables) + 1))
 
-    def codim(self) -> int:
-        return len(self.variables)
-
     def quotient_dim(self) -> int:
         """dim S/P = number of variables missing from P."""
         return self.nvars - len(self.variables)

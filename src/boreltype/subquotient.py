@@ -117,9 +117,19 @@ class Subquotient:
 
         For an Artinian L/D the socle monomials are the corners x^{b-1} of the
         irreducible components (x1^{b1}, ..., xn^{bn}) of D that lie in L, so
-        top = max (b1 - 1) + ... + (bn - 1) over those corners, and only
-        degrees 0..top are scanned.  A module that is not Artinian, or whose
-        top degree passes the ceiling, is reported as not Artinian within it.
+        top = max (b1 - 1) + ... + (bn - 1) over those corners.  A module that
+        is not Artinian, or whose top degree passes the ceiling, is reported
+        as not Artinian within it.
+
+        The monomials of L outside D are then counted by degree over the box
+        e_i < b_i, sum e <= top, b = D.max_exponents(), not over every
+        monomial of each degree 0..top.  No monomial of L outside D leaves the
+        box: if u is outside D and u_i >= b_i, a generator of D dividing
+        x_i u would divide u, so x_i u is outside D too, and u in L would
+        start an infinite x_i-string in L/D.  The box is walked raising one
+        exponent at a time in increasing position, and a point in D ends the
+        walk above it, as every multiple of it lies in D.  The walk starts at
+        1, not at L's generators, so it is not the filtration builder's walk.
         """
         # decomposition imports this module, so it is imported on use
         from .decomposition import irreducible_decomposition
@@ -143,7 +153,22 @@ class Subquotient:
                 f"Hilbert function does not vanish up to degree {ceiling}; "
                 "not Artinian within the ceiling"
             )
-        return [self.hilbert_function(d) for d in range(top + 1)]
+        values = [0] * (top + 1)
+        bounds = self.denominator.max_exponents()
+
+        def walk(exps, k, degree):
+            # exps lies outside D and is zero from position k on
+            if self.numerator.member(trusted_monomial(exps)):
+                values[degree] += 1
+            for i in range(k, len(exps)):
+                for e in range(1, min(bounds[i], top - degree + 1)):
+                    up = exps[:i] + (e,) + exps[i + 1 :]
+                    if self.denominator.member(trusted_monomial(up)):
+                        break
+                    walk(up, i + 1, degree + e)
+
+        walk((0,) * self.nvars, 0, 0)
+        return values
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"

@@ -2,10 +2,11 @@
 
 Everything in the raw_* family works on plain exponent tuples and never calls
 into the package, so it can serve as an independent oracle for membership,
-colon, intersection, and saturation results.  The one exception is
-raw_torsion_identity_report, the per-monomial loop the package's report
-must agree with, which calls the package's torsion submodule for every
-monomial it tests.
+colon, intersection, and saturation results.  The two exceptions are the
+ideal-building loops the package's cheaper routes must agree with:
+raw_torsion_identity_report, which calls the package's torsion submodule
+for every monomial it tests, and raw_step_violations, which builds each
+filtration step's extension and colon ideals.
 """
 
 from __future__ import annotations
@@ -300,6 +301,20 @@ def raw_torsion_identity_report(module: Subquotient) -> dict:
                 report["counterexample"] = {"kind": "monomial", "u": str(u)}
                 return report
     return report
+
+
+def raw_step_violations(previous: MonomialIdeal, step, k: int) -> list[str]:
+    """The violations of filtration step k over the previous ideal, from the
+    ideals themselves: the extension rebuilt by the ideal constructor, the
+    membership test, and the whole colon ideal compared with the prime's."""
+    violations = []
+    if MonomialIdeal(previous.nvars, previous.gens + (step.witness,)) != step.ideal:
+        violations.append(f"step {k}: ideal is not the previous one plus witness")
+    if previous.member(step.witness):
+        violations.append(f"step {k}: witness already lies in the previous ideal")
+    if previous.colon_monomial(step.witness) != step.prime.to_ideal():
+        violations.append(f"step {k}: colon is not exactly ({step.prime})")
+    return violations
 
 
 def raw_primes_never_grow(prime_sets) -> bool:

@@ -19,6 +19,8 @@ from boreltype import (
     sequential_cm_report,
     torsion_ladder_matches_chain,
 )
+from boreltype import chain as chain_module
+from boreltype import filtration as filtration_module
 from boreltype.chain import reduced_hilbert
 from boreltype.errors import NotBorelTypeError, ZeroModuleError
 
@@ -118,6 +120,27 @@ class TestRegularSequences:
             regular_sequence_holds(chain, 0)
         with pytest.raises(ValueError):
             regular_sequence_holds(chain, 2)
+
+
+    def test_check_computes_each_certificate_once(self, monkeypatch):
+        # sequential_cm_report and the filtration builder both ask for every
+        # step's certificate; the second request must be a cache hit
+        M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
+        requested = []
+
+        def counted(chain, step_number):
+            requested.append((chain, step_number))
+            return regular_sequence_holds(chain, step_number)
+
+        monkeypatch.setattr(chain_module, "regular_sequence_holds", counted)
+        monkeypatch.setattr(filtration_module, "regular_sequence_holds", counted)
+        regular_sequence_holds.cache_clear()
+        report, code = run_check(M)
+        assert code == 0
+        pairs = set(requested)
+        assert len(pairs) == len(build_chain(M)) > 1
+        assert len(requested) == 2 * len(pairs)
+        assert regular_sequence_holds.cache_info().misses == len(pairs)
 
 
 class TestCmReport:

@@ -40,7 +40,9 @@ from .support import (
     ideal_of,
     modules,
     nonunit_tuples,
+    raw_ideals,
     raw_primes_never_grow,
+    raw_step_violations,
     raw_witnesses,
 )
 
@@ -149,6 +151,102 @@ class TestVerifierIndependence:
         assert not report["pretty_clean"]
         assert report["length"] == 3
         assert len(pretty_clean_filtration(base)) == 2
+
+
+@st.composite
+def filtration_steps(draw):
+    """A nonzero previous ideal and one step over it: a witness drawn inside
+    or outside it, any prime (the true colon when that is a prime), and the
+    true extension or a perturbed ideal."""
+    nvars = draw(st.integers(1, 5))
+    max_exp = 3 if nvars <= 3 else 2
+    previous = ideal_of(nvars, draw(raw_ideals(nvars, max_exp=max_exp)))
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(previous.gens))
+        witness = g.mul(Monomial(draw(exponent_tuples(nvars, 1))))
+    else:
+        witness = Monomial(draw(exponent_tuples(nvars, max_exp)))
+    colon = previous.colon_monomial(witness)
+    if all(g.degree == 1 for g in colon.gens) and draw(st.booleans()):
+        variables = [g.exps.index(1) + 1 for g in colon.gens]
+    else:
+        variables = draw(st.sets(st.integers(1, nvars), min_size=1))
+    extension = MonomialIdeal(nvars, previous.gens + (witness,))
+    kind = draw(st.sampled_from(["true", "previous", "extra", "dropped"]))
+    if kind == "previous":
+        ideal = previous
+    elif kind == "extra":
+        ideal = extension.add(ideal_of(nvars, [draw(nonunit_tuples(nvars, max_exp))]))
+    elif kind == "dropped":
+        ideal = MonomialIdeal(nvars, extension.gens[1:])
+    else:
+        ideal = extension
+    return previous, FiltrationStep(ideal, witness, P(nvars, *variables))
+
+
+class TestStepChecks:
+    """verify_filtration decides each step from exponent tuples; its
+    violations must be those of the ideals the step defines."""
+
+    @staticmethod
+    def violations(base, *steps):
+        return verify_filtration(PrimeFiltration(base, steps))["violations"]
+
+    @given(drawn=filtration_steps())
+    @settings(deadline=None, max_examples=400)
+    def test_matches_the_ideal_rebuild(self, drawn):
+        previous, step = drawn
+        base = Subquotient(previous.add(step.ideal), previous)
+        expected = raw_step_violations(previous, step, 1)
+        if step.ideal != base.numerator:
+            expected.append("filtration does not end at the whole module")
+        assert self.violations(base, step) == expected
+
+    def test_golden_ideal_is_not_the_extension(self):
+        # (x1^2, x1*x2) + (x1) is (x1), not (x1, x2); the colon is exact
+        base = Subquotient(I(2, "x1", "x2"), I(2, "x1^2", "x1*x2"))
+        step = FiltrationStep(I(2, "x1", "x2"), Monomial((1, 0)), P(2, 1, 2))
+        assert self.violations(base, step) == [
+            "step 1: ideal is not the previous one plus witness"
+        ]
+
+    def test_golden_witness_already_inside(self):
+        # x1 lies in (x1, x2), so the extension is (x1, x2) itself and the
+        # colon is the unit ideal
+        base = cyclic(2, "x1", "x2")
+        steps = (
+            FiltrationStep(I(2, "x1", "x2"), Monomial((1, 0)), P(2, 1, 2)),
+            FiltrationStep(MonomialIdeal.unit(2), Monomial((0, 0)), P(2, 1, 2)),
+        )
+        assert self.violations(base, *steps) == [
+            "step 1: witness already lies in the previous ideal",
+            "step 1: colon is not exactly (x1,x2)",
+        ]
+
+    @pytest.mark.parametrize(
+        "gens, witness, variables",
+        [
+            (("x1", "x2"), (0, 0), (1,)),  # colon (x1, x2) is too large
+            (("x1",), (0, 0), (1, 2)),  # colon (x1) is too small
+            (("x1^2",), (0, 0), (1,)),  # colon (x1^2)
+            (("x1^2", "x2"), (0, 0), (1, 2)),  # colon (x1^2, x2)
+            (("x1^3", "x2"), (1, 0), (1, 2)),  # colon (x1^2, x2)
+        ],
+    )
+    def test_golden_colon_is_not_the_prime(self, gens, witness, variables):
+        previous = I(2, *gens)
+        w = Monomial(witness)
+        step = FiltrationStep(previous.add(MonomialIdeal.principal(w)), w, P(2, *variables))
+        base = Subquotient(step.ideal, previous)
+        assert self.violations(base, step) == [
+            f"step 1: colon is not exactly ({step.prime})"
+        ]
+
+    def test_golden_exact_colon_above_a_nonzero_exponent(self):
+        # (x1^3, x2) : x1^2 = (x1, x2): x1^3 exceeds x1^2 by one in x1 only
+        base = Subquotient(I(2, "x1^2", "x2"), I(2, "x1^3", "x2"))
+        step = FiltrationStep(I(2, "x1^2", "x2"), Monomial((2, 0)), P(2, 1, 2))
+        assert self.violations(base, step) == []
 
 
 @st.composite

@@ -215,6 +215,14 @@ class TestCliCommands:
         assert code == 3 and report is None
         assert err == CEILING_REFUSAL
 
+    def test_six_variable_artinian_within_a_raised_ceiling(
+        self, capsys, six_variable_file
+    ):
+        # 233472 monomials, of degree up to 41, lie outside the denominator
+        code, report, _ = run_cli(capsys, "reg", "--ceiling", "41", six_variable_file)
+        assert code == 0
+        assert report["regularity"] == 41 and report["depth"] == 0
+
     def test_filtration_refuses_the_ceiling_before_the_build(
         self, capsys, monkeypatch, tmp_path
     ):

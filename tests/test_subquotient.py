@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from boreltype import Monomial, MonomialIdeal, Subquotient
+from boreltype import (
+    Monomial,
+    MonomialIdeal,
+    Subquotient,
+    borel_verdict,
+    build_chain,
+    chain_quotients,
+    monomials_of_degree,
+)
 from boreltype.errors import (
     DimensionMismatchError,
     NotArtinianError,
@@ -261,3 +269,71 @@ class TestTopDegree:
             assert str(exc.value) == expected
         else:
             assert M.artinian_hilbert(ceiling) == expected
+
+    # about one draw of modules() in eight is a nonzero Borel-type module
+    @given(M=modules(), data=st.data())
+    @settings(
+        deadline=None,
+        max_examples=60,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    def test_matches_degree_scan_on_reduced_chain_quotients(self, M, data):
+        # the denominator of a reduced chain quotient holds x_j L for each
+        # trailing x_j, not a pure power of x_j
+        assume(not M.is_zero() and borel_verdict(M).is_borel)
+        for _, reduced in chain_quotients(build_chain(M)):
+            # the default ceiling is only drawn where the scan stops early
+            ceilings = st.integers(0, 8)
+            if reduced.is_artinian():
+                ceilings = ceilings | st.none()
+            ceiling = data.draw(ceilings)
+            expected = raw_artinian_hilbert(
+                [g.exps for g in reduced.numerator.gens],
+                [g.exps for g in reduced.denominator.gens],
+                reduced.nvars,
+                ceiling,
+            )
+            if isinstance(expected, str):
+                with pytest.raises(NotArtinianError) as exc:
+                    reduced.artinian_hilbert(ceiling)
+                assert str(exc.value) == expected
+            else:
+                assert reduced.artinian_hilbert(ceiling) == expected
+
+    @pytest.mark.parametrize(
+        "nvars, gens, top, box, scanned",
+        [
+            # the box 5^3 holds all 125 monomials outside D, all of degree
+            # <= 12, while a degree scan tests all 455 monomials of those degrees
+            (3, ("x1^5", "x2^5", "x3^5"), 12, 125, 455),
+            # the box 40^2 holds 1600 points, but only the 820 of degree
+            # <= 39 can lie outside D; the degree scan tests those 820 too
+            (2, ("x1^40", "x2^40", "x1*x2"), 39, 820, 820),
+        ],
+    )
+    def test_counts_within_the_box_below_the_top_degree(
+        self, monkeypatch, nvars, gens, top, box, scanned
+    ):
+        M = Subquotient.cyclic(I(nvars, *gens))
+        bounds = M.denominator.max_exponents()
+        assert scanned == sum(len(monomials_of_degree(nvars, d)) for d in range(top + 1))
+        # the Artinian test probes x_i^{b_i} times the generator 1 of L = S
+        probes = {
+            tuple(b if j == i else 0 for j in range(nvars)) for i, b in enumerate(bounds)
+        }
+        visited = set()
+        original = MonomialIdeal.member
+
+        def counted(self, m):
+            visited.add(m.exps)
+            return original(self, m)
+
+        monkeypatch.setattr(MonomialIdeal, "member", counted)
+        values = M.artinian_hilbert()
+        monkeypatch.undo()
+        assert values == [M.hilbert_function(d) for d in range(top + 1)]
+        points = visited - probes
+        assert len(points) <= box
+        assert all(
+            sum(e) <= top and all(x < b for x, b in zip(e, bounds)) for e in points
+        )
