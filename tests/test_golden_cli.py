@@ -1,5 +1,6 @@
-"""Pinned command output: `check`, `chain`, `reg`, `filtration` and `analyze`
-on a few fixed modules must print exactly the bytes stored in golden_cli.json.
+"""Pinned command output: `check`, `chain`, `reg`, `filtration`, `analyze` and
+`betti` on a few fixed modules must print exactly the bytes stored in
+golden_cli.json.
 
 Criterion 9 compares reruns of the same code, so it cannot see a change
 that alters every run alike; this file can.  After an intended output
@@ -39,7 +40,16 @@ CASES = [
     (command, name, ())
     for name in MODULES
     for command in ("check", "chain", "reg", "filtration", "analyze")
-] + [("check", "cyclic_borel", ("--oracle-guard", "1"))]
+] + [
+    ("check", "cyclic_borel", ("--oracle-guard", "1")),
+    ("check", "cyclic_borel", ("--field", "f2")),
+    ("betti", "cyclic_borel", ()),
+    ("betti", "cyclic_artinian", ()),
+    ("betti", "non_borel", ()),
+    ("betti", "cyclic_borel", ("--field", "f2")),
+    # a proper subquotient: betti refuses with exit 3
+    ("betti", "subquotient_borel", ()),
+]
 
 
 def case_id(command, name, options) -> str:
