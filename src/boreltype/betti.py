@@ -7,13 +7,15 @@ complex K^a: the variable subsets F one can divide out of x^a while staying
 in the ideal (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
 Since x^(a-F) lies in the ideal exactly when some minimal generator g divides
 x^a and F lies in the facet {i : g_i < a_i}, the faces are the subsets of
-those facets, read off the generators as bitmasks.  Homology ranks are exact:
-the rank over the rationals comes from fraction-free (Bareiss) elimination on
-Python integers, and the rank over the field with two elements, when
-requested, from elimination on bit rows.  The quotient ring's table is the
-ideal's table shifted one step, plus the free rank one at the origin.
-Regularity, projective dimension, and depth (variables minus projective
-dimension) are read off the table.
+those facets, read off the generators as bitmasks.  The faces stay bitmasks
+from the facet test to the boundary matrices; a SimplicialComplex is built
+only by upper_koszul_complex, for callers outside the oracle's loop.  Homology
+ranks are exact: the rank over the rationals comes from fraction-free
+(Bareiss) elimination on Python integers, and the rank over the field with two
+elements, when requested, from elimination on bit rows.  The quotient ring's
+table is the ideal's table shifted one step, plus the free rank one at the
+origin.  Regularity, projective dimension, and depth (variables minus
+projective dimension) are read off the table.
 
 This module is deliberately independent of the chain machinery: it is the
 oracle the chain formula is checked against, so it shares no code with it
@@ -70,24 +72,15 @@ class SimplicialComplex:
         return max(len(f) for f in self.faces) - 1
 
 
-def upper_koszul_complex(ideal: MonomialIdeal, multidegree) -> SimplicialComplex:
-    """The upper Koszul complex K^a(I): the subsets F of the support of a with
-    x^(a-F) in the ideal.
-
-    x^(a-F) lies in I exactly when some minimal generator g divides it, that
-    is when g divides x^a and F lies inside {i : g_i < a_i}, the facet of g at
-    a.  So the faces are the subsets of these facets.  They are enumerated as
-    bitmasks (bit i - 1 for variable i), skipping a facet already found as a
-    subset of an earlier one, and converted to vertex sets once.
-    """
-    a = Monomial(tuple(multidegree))
-    if a.nvars != ideal.nvars:
-        raise ValueError("multidegree length does not match the variable count")
-    exps = a.exps
+def _koszul_face_masks(gen_exps, a) -> set[int]:
+    """The faces of K^a as bitmasks (bit i - 1 for variable i), given the
+    generators' exponent tuples: the subsets of each facet {i : g_i < a_i}
+    of a generator g dividing x^a, skipping a facet already found as a
+    subset of an earlier one."""
     facets = set()
-    for g in ideal.gens:
+    for g in gen_exps:
         mask, bit = 0, 1
-        for g_i, a_i in zip(g.exps, exps):
+        for g_i, a_i in zip(g, a):
             if g_i > a_i:
                 break
             if g_i < a_i:
@@ -105,6 +98,23 @@ def upper_koszul_complex(ideal: MonomialIdeal, multidegree) -> SimplicialComplex
             if not sub:
                 break
             sub = (sub - 1) & facet
+    return masks
+
+
+def upper_koszul_complex(ideal: MonomialIdeal, multidegree) -> SimplicialComplex:
+    """The upper Koszul complex K^a(I): the subsets F of the support of a with
+    x^(a-F) in the ideal.
+
+    x^(a-F) lies in I exactly when some minimal generator g divides it, that
+    is when g divides x^a and F lies inside {i : g_i < a_i}, the facet of g at
+    a.  So the faces are the subsets of these facets.  They are enumerated as
+    bitmasks by the same code the Betti oracle runs, and converted to vertex
+    sets once.
+    """
+    a = Monomial(tuple(multidegree))
+    if a.nvars != ideal.nvars:
+        raise ValueError("multidegree length does not match the variable count")
+    masks = _koszul_face_masks([g.exps for g in ideal.gens], a.exps)
     verts = a.support()
     faces = frozenset(
         frozenset(v for v in verts if mask >> (v - 1) & 1) for mask in masks
@@ -172,27 +182,28 @@ def _rank_mod2(rows: list[list[int]]) -> int:
 _RANK = {"q": _rank_rational, "f2": _rank_mod2}
 
 
-def reduced_homology_ranks(complex_: SimplicialComplex, field: str = "q") -> dict:
-    """Ranks of the reduced homology groups, indexed by dimension.
+def _rank_function(field: str):
+    if field not in _RANK:
+        raise ValueError(f"unknown field {field!r}; use 'q' or 'f2'")
+    return _RANK[field]
 
-    Only nonzero ranks appear in the result.  The rank in dimension k is the
-    face count minus the ranks of the boundary maps in and out (rank-nullity).
-    Faces are bitmasks here (bit v - 1 for vertex v), sorted within each
+
+def _homology_ranks(masks, rank_of) -> dict:
+    """Nonzero reduced homology ranks, by dimension, of the complex whose
+    faces are the given bitmasks (bit v - 1 for vertex v); rank_of is the
+    rank of a list of integer rows over the chosen field.
+
+    The rank in dimension k is the face count minus the ranks of the
+    boundary maps in and out (rank-nullity).  Faces are sorted within each
     dimension so the matrices do not depend on the face enumeration order.
     The boundary of a face drops each set bit in turn; dropping the j-th
     lowest one (counting from zero) carries the sign (-1)^j.
     """
-    if field not in _RANK:
-        raise ValueError(f"unknown field {field!r}; use 'q' or 'f2'")
-    rank_of = _RANK[field]
-    if complex_.is_void():
+    if not masks:
         return {}
     by_dim: dict[int, list[int]] = {}
-    for f in complex_.faces:
-        mask = 0
-        for v in f:
-            mask |= 1 << (v - 1)
-        by_dim.setdefault(len(f) - 1, []).append(mask)
+    for mask in masks:
+        by_dim.setdefault(mask.bit_count() - 1, []).append(mask)
     for k in by_dim:
         by_dim[k].sort()
     top = max(by_dim)
@@ -222,6 +233,23 @@ def reduced_homology_ranks(complex_: SimplicialComplex, field: str = "q") -> dic
         if h:
             out[k] = h
     return out
+
+
+def reduced_homology_ranks(complex_: SimplicialComplex, field: str = "q") -> dict:
+    """Ranks of the reduced homology groups, indexed by dimension.
+
+    Only nonzero ranks appear in the result; the void complex has none.  The
+    faces are converted to bitmasks and ranked by the same code the Betti
+    oracle runs.
+    """
+    rank_of = _rank_function(field)
+    masks = []
+    for f in complex_.faces:
+        mask = 0
+        for v in f:
+            mask |= 1 << (v - 1)
+        masks.append(mask)
+    return _homology_ranks(masks, rank_of)
 
 
 @dataclass(frozen=True)
@@ -274,16 +302,19 @@ def betti_table(
 
     Every multidegree with exponents at most the componentwise max of the
     generators is visited; nothing is pruned, so the support restriction to
-    joins of generators is a testable consequence, not an assumption.
+    joins of generators is a testable consequence, not an assumption.  The
+    faces at each point stay bitmasks from the facet test to the ranks.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("the Betti oracle needs a proper nonzero ideal")
     bounds = ideal.max_exponents()
     ensure_box(bounds, guard, "Betti oracle")
+    rank_of = _rank_function(field)
+    gen_exps = [g.exps for g in ideal.gens]
     entries = [(0, (0,) * ideal.nvars, 1)]
     for exps in itertools.product(*[range(b + 1) for b in bounds]):
-        complex_ = upper_koszul_complex(ideal, exps)
-        for hdim, rank in sorted(reduced_homology_ranks(complex_, field).items()):
+        masks = _koszul_face_masks(gen_exps, exps)
+        for hdim, rank in sorted(_homology_ranks(masks, rank_of).items()):
             entries.append((hdim + 2, exps, rank))
     entries.sort()
     return BettiTable(ideal.nvars, tuple(entries), field)

@@ -269,6 +269,19 @@ def raw_reduced_homology_ranks(faces, rank):
     return out
 
 
+def raw_betti_entries(gens, nvars: int, rank):
+    """The sorted Betti table entries of S/I, as (index, multidegree, rank),
+    from the raw upper Koszul faces and tuple boundary matrices at every
+    point of the lcm box, plus the free rank one at the origin; rank
+    computes the rank of a list of integer rows."""
+    bounds = [max(g[i] for g in gens) for i in range(nvars)]
+    entries = [(0, (0,) * nvars, 1)]
+    for a in itertools.product(*(range(b + 1) for b in bounds)):
+        ranks = raw_reduced_homology_ranks(raw_upper_koszul_faces(gens, a), rank)
+        entries.extend((k + 2, a, h) for k, h in ranks.items())
+    return sorted(entries)
+
+
 def raw_torsion_identity_report(module: Subquotient) -> dict:
     """The torsion identity report with one torsion submodule computed per
     monomial tested, in the order the package's report tests them."""

@@ -26,6 +26,7 @@ from .support import (
     gens_of,
     ideal_of,
     monomial_ideals,
+    raw_betti_entries,
     raw_ideals,
     raw_member,
     raw_rank_fraction,
@@ -231,20 +232,65 @@ class TestBettiTable:
         with pytest.raises(GuardExceededError):
             betti_table(I(2, "x1^2", "x1*x2"), guard=2)
 
+    def test_guard_admits_a_box_of_its_own_size(self):
+        ideal = I(2, "x1^2", "x1*x2")
+        assert betti_table.__wrapped__(ideal, guard=6).entries == (
+            betti_table(ideal).entries
+        )
+        with pytest.raises(
+            GuardExceededError,
+            match="^Betti oracle: enumeration box of size 6 exceeds the guard 5$",
+        ):
+            betti_table.__wrapped__(ideal, guard=5)
+
+    def test_field_validated(self):
+        with pytest.raises(ValueError, match="^unknown field 'r'; use 'q' or 'f2'$"):
+            betti_table(I(2, "x1^2", "x1*x2"), field="r")
+
     def test_every_multidegree_of_the_lcm_box_is_visited(self, monkeypatch):
-        # the oracle is never pruned: one Koszul complex per box point
+        # the oracle is never pruned: one Koszul face set per box point
         visited = []
-        original = betti_module.upper_koszul_complex
+        original = betti_module._koszul_face_masks
 
-        def recording(ideal, multidegree):
+        def recording(gen_exps, multidegree):
             visited.append(tuple(multidegree))
-            return original(ideal, multidegree)
+            return original(gen_exps, multidegree)
 
-        monkeypatch.setattr(betti_module, "upper_koszul_complex", recording)
+        monkeypatch.setattr(betti_module, "_koszul_face_masks", recording)
         ideal = I(3, "x1^2*x3", "x2^3", "x1*x2*x3^2")
         betti_table.__wrapped__(ideal)
         box = itertools.product(*[range(b + 1) for b in ideal.max_exponents()])
         assert sorted(visited) == sorted(box)
+
+    @pytest.mark.parametrize("field", ["q", "f2"])
+    def test_every_homology_group_is_computed(self, monkeypatch, field):
+        # every boundary map with nonempty sources and targets, at every box
+        # point, gets its own rank: 20 matrices with 31 rows between them
+        rows_seen = []
+        original = betti_module._RANK[field]
+
+        def counting(rows):
+            rows_seen.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setitem(betti_module._RANK, field, counting)
+        betti_table.__wrapped__(I(3, "x1^2*x3", "x2^3", "x1*x2*x3^2"), field=field)
+        assert (len(rows_seen), sum(rows_seen)) == (20, 31)
+
+    @given(
+        gens=st.integers(1, 4).flatmap(
+            lambda n: raw_ideals(n, max_gens=4, max_exp=3)
+        )
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_whole_table_matches_the_raw_complexes(self, gens):
+        nvars = len(gens[0])
+        ideal = ideal_of(nvars, gens)
+        for field, rank in (("q", raw_rank_fraction), ("f2", _rank_mod2)):
+            table = betti_table.__wrapped__(ideal, field=field)
+            assert list(table.entries) == raw_betti_entries(
+                gens_of(ideal), nvars, rank
+            ), field
 
     def test_depth_complements_projective_dimension(self):
         for ideal in (I(2, "x1*x2"), I(3, "x1", "x2^2"), I(3, "x1*x2*x3")):
