@@ -314,7 +314,7 @@ def betti_table(
     entries = [(0, (0,) * ideal.nvars, 1)]
     for exps in itertools.product(*[range(b + 1) for b in bounds]):
         masks = _koszul_face_masks(gen_exps, exps)
-        for hdim, rank in sorted(_homology_ranks(masks, rank_of).items()):
+        for hdim, rank in _homology_ranks(masks, rank_of).items():
             entries.append((hdim + 2, exps, rank))
     entries.sort()
     return BettiTable(ideal.nvars, tuple(entries), field)
