@@ -34,6 +34,9 @@ MODULES = {
     "non_borel": "vars: 3\nnumerator:\nunit\ndenominator:\nx2*x3\n",
     # Ass = {(x1), (x2)}, each prime read off a different numerator generator
     "two_generator_primes": "vars: 2\nnumerator:\nx1\nx2\ndenominator:\nx1*x2\n",
+    # Borel type, yet no truncation is strongly stable: x3^e is killed by x2
+    # and not by x1 in every degree e
+    "borel_no_stable_truncation": "vars: 3\nnumerator:\nunit\ndenominator:\nx2\nx1^2\n",
 }
 
 CASES = [
@@ -43,6 +46,8 @@ CASES = [
 ] + [
     ("check", "cyclic_borel", ("--oracle-guard", "1")),
     ("check", "cyclic_borel", ("--field", "f2")),
+    # the least stable truncation degree is 3, past the cap of 2
+    ("check", "cyclic_artinian", ("--emax", "2")),
     ("betti", "cyclic_borel", ()),
     ("betti", "cyclic_artinian", ()),
     ("betti", "non_borel", ()),
@@ -94,6 +99,15 @@ def test_golden_exercises_the_intended_paths():
     assert expected["reg non_borel"]["exit_code"] == 3
     two = json.loads(expected["analyze two_generator_primes"]["stdout"])
     assert two["associated_primes"] == ["x1", "x2"]
+
+    def truncation(key):
+        report = json.loads(expected[key]["stdout"])
+        degree = {c["name"]: c for c in report["checks"]}["truncation_stability"]
+        return report["verdict"]["borel_type"], degree["detail"]["degree"]
+
+    assert truncation("check borel_no_stable_truncation") == (True, None)
+    assert truncation("check cyclic_artinian") == (True, 3)
+    assert truncation("check cyclic_artinian --emax 2") == (True, None)
 
 
 if __name__ == "__main__":
