@@ -108,44 +108,28 @@ def ideal_is_borel_type(ideal: MonomialIdeal) -> bool:
     return True
 
 
-def _killed_by_variables(module: Subquotient) -> list[MonomialIdeal]:
-    """K_i = (J : x_i) meet I for i = 1..n (index 0 unused): K_i/J is the
-    submodule of M = I/J killed by x_i."""
+def _unstable_pairs(module: Subquotient):
+    """Yield (K_i, K_j) for each pair j < i with K_j not containing K_i, where
+    K_i = (J : x_i) meet I: K_i/J is the submodule of M = I/J killed by x_i."""
     n = module.nvars
     num, den = module.numerator, module.denominator
-    return [None] + [
+    killed = [None] + [
         den.colon_monomial(Monomial.variable(i, n)).intersect(num)
         for i in range(1, n + 1)
     ]
-
-
-def _truncation_is_stable(killed: list[MonomialIdeal], e: int) -> bool:
-    """Whether M_{>=e} is strongly stable, given K_i from _killed_by_variables.
-
-    Every monomial of degree >= e in K_i must lie in K_j for all j < i.  Those
-    monomials are generated by g*w, g a minimal generator of K_i and w any
-    monomial of degree max(0, e - deg g).
-    """
-    n = len(killed) - 1
     for i in range(2, n + 1):
-        for g in killed[i].gens:
-            shifts = monomials_of_degree(n, max(0, e - g.degree))
-            for j in range(1, i):
-                if killed[j].member(g):
-                    continue
-                if not all(killed[j].member(g.mul(w)) for w in shifts):
-                    return False
-    return True
+        for j in range(1, i):
+            if not killed[j].contains(killed[i]):
+                yield killed[i], killed[j]
 
 
 def is_strongly_stable_module(module: Subquotient) -> bool:
     """Whether the annihilator-of-x_i submodules shrink as i grows.
 
     The submodule of M = I/J killed by x_i is ((J : x_i) meet I)/J, so the
-    condition is an ideal containment for every pair j < i: the truncation
-    test at degree 0.
+    condition is an ideal containment for every pair j < i.
     """
-    return _truncation_is_stable(_killed_by_variables(module), 0)
+    return next(_unstable_pairs(module), None) is None
 
 
 def is_strongly_stable_ideal(ideal: MonomialIdeal) -> bool:
@@ -163,7 +147,9 @@ def is_strongly_stable_ideal(ideal: MonomialIdeal) -> bool:
 
 
 def truncation_stability_degree(module: Subquotient, e_max=None):
-    """Least e <= e_max whose truncation M_{>=e} is strongly stable, or None.
+    """Least e whose truncation M_{>=e} is strongly stable, or None when there
+    is none or it passes the cap e_max.  The degree is computed in closed form;
+    e_max only caps what is reported.
 
     A strongly stable truncation forces the module itself to be of Borel type;
     finding one for a non-Borel module is an implementation defect and raises.
@@ -178,8 +164,10 @@ def truncation_stability_degree(module: Subquotient, e_max=None):
     The containment (K_j)_{>=e} + J >= (K_i)_{>=e} + J only has to be tested on
     the monomials of (K_i)_{>=e}, which all have degree >= e; a monomial of
     degree >= e lies in (K_j)_{>=e} + J exactly when it lies in K_j, because
-    J is contained in K_j.  So J drops out, and the test at every degree reads
-    the ideals K_i computed once per module.
+    J is contained in K_j.  So M_{>=e} is strongly stable exactly when e passes
+    the degree of every monomial of K_i outside K_j, for all j < i: those
+    monomials span (K_i + K_j)/K_j, so each pair with K_j not containing K_i
+    needs e = 1 + its top degree, and no e exists when it is not Artinian.
     """
     if e_max is None:
         e_max = (
@@ -191,16 +179,20 @@ def truncation_stability_degree(module: Subquotient, e_max=None):
         )
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
-    killed = _killed_by_variables(module)
-    for e in range(e_max + 1):
-        if _truncation_is_stable(killed, e):
-            if not borel_verdict(module).is_borel:
-                raise InternalInconsistencyError(
-                    f"truncation at degree {e} of {module} is strongly stable "
-                    "but the module is not of Borel type"
-                )
-            return e
-    return None
+    e = 0
+    for k_i, k_j in _unstable_pairs(module):
+        top = Subquotient(k_i.add(k_j), k_j).top_degree()
+        if top is None:
+            return None
+        e = max(e, top + 1)
+    if e > e_max:
+        return None
+    if not borel_verdict(module).is_borel:
+        raise InternalInconsistencyError(
+            f"truncation at degree {e} of {module} is strongly stable "
+            "but the module is not of Borel type"
+        )
+    return e
 
 
 def torsion_identity_report(module: Subquotient) -> dict:

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--emax",
             type=int,
             default=None,
-            help="largest truncation degree probed for strong stability",
+            help="largest stable truncation degree reported; a larger one reads null",
         )
         p.add_argument(
             "--ceiling",

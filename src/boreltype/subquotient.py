@@ -111,15 +111,35 @@ class Subquotient:
             for i, (e, b) in enumerate(zip(g.exps, bounds))
         )
 
+    def top_degree(self):
+        """The largest degree of a monomial of L outside D, or None when L/D is
+        not Artinian and such degrees are unbounded.
+
+        For an Artinian L/D the socle monomials are the corners x^{b-1} of the
+        irreducible components (x1^{b1}, ..., xn^{bn}) of D that lie in L, so
+        top = max (b1 - 1) + ... + (bn - 1) over those corners.
+        """
+        # decomposition imports this module, so it is imported on use
+        from .decomposition import irreducible_decomposition
+
+        if self.is_zero():
+            raise ZeroModuleError("the zero module has no top degree")
+        if not self.is_artinian():
+            return None
+        corners = (
+            trusted_monomial(tuple(e - 1 for _, e in comp.bounds))
+            for comp in irreducible_decomposition(self.denominator)
+            if len(comp.bounds) == self.nvars
+        )
+        return max(c.degree for c in corners if self.numerator.member(c))
+
     def artinian_hilbert(self, ceiling=None) -> list[int]:
         """The Hilbert function in degrees 0..top, for Artinian modules; its
         last entry is the top nonvanishing degree's value.
 
-        For an Artinian L/D the socle monomials are the corners x^{b-1} of the
-        irreducible components (x1^{b1}, ..., xn^{bn}) of D that lie in L, so
-        top = max (b1 - 1) + ... + (bn - 1) over those corners.  A module that
-        is not Artinian, or whose top degree passes the ceiling, is reported
-        as not Artinian within it.
+        top is read off the corners of D (top_degree).  A module that is not
+        Artinian, or whose top degree passes the ceiling, is reported as not
+        Artinian within it.
 
         The monomials of L outside D are then counted by degree over the box
         e_i < b_i, sum e <= top, b = D.max_exponents(), not over every
@@ -131,24 +151,12 @@ class Subquotient:
         walk above it, as every multiple of it lies in D.  The walk starts at
         1, not at L's generators, so it is not the filtration builder's walk.
         """
-        # decomposition imports this module, so it is imported on use
-        from .decomposition import irreducible_decomposition
-
-        if self.is_zero():
-            raise ZeroModuleError("the zero module has no top degree")
+        top = self.top_degree()
         bound = self.numerator.max_gen_degree()
         if ceiling is None:
             ceiling = max(10 * max(bound, 1), 40)
         ceiling = max(ceiling, bound)
-        top = ceiling + 1  # refused unless the module is Artinian
-        if self.is_artinian():
-            corners = (
-                trusted_monomial(tuple(e - 1 for _, e in comp.bounds))
-                for comp in irreducible_decomposition(self.denominator)
-                if len(comp.bounds) == self.nvars
-            )
-            top = max(c.degree for c in corners if self.numerator.member(c))
-        if top > ceiling:
+        if top is None or top > ceiling:
             raise NotArtinianError(
                 f"Hilbert function does not vanish up to degree {ceiling}; "
                 "not Artinian within the ceiling"

@@ -14,6 +14,7 @@ from boreltype import (
     Subquotient,
     borel_verdict,
     exchange_closure_ideal,
+    generate_corpus,
     ideal_is_borel_type,
     is_strongly_stable_ideal,
     is_strongly_stable_module,
@@ -235,6 +236,41 @@ class TestTruncationCriterion:
             None,
         )
         assert truncation_stability_degree(M, e_max) == expected
+
+    def test_least_degree_matches_truncated_modules_in_four_variables(self):
+        corpus = [
+            M
+            for seed in (1, 2, 3)
+            for gen in ("random", "borel")
+            for M in generate_corpus(seed, 40, gen, 4, 4)
+            if not M.is_zero()
+        ]
+        assert len(corpus) == 224
+        positive = [
+            (Subquotient.cyclic(I(4, "x1^2", "x2^2", "x3^2", "x4^2")), 4),
+            (Subquotient.cyclic(I(4, "x1^3", "x2^2", "x3^2", "x4^2")), 5),
+            (Subquotient(I(4, "x1"), I(4, "x1*x2", "x1*x3", "x1*x4", "x1^3")), 2),
+        ]
+        for M in corpus + [M for M, _ in positive]:
+            least = next(
+                (e for e in range(7) if is_strongly_stable_module(M.truncate(e))), None
+            )
+            for e_max in range(7):
+                expected = least if least is not None and least <= e_max else None
+                assert truncation_stability_degree(M, e_max) == expected, (M, e_max)
+        assert [truncation_stability_degree(M) for M, _ in positive] == [
+            e for _, e in positive
+        ]
+
+    def test_borel_type_without_stable_truncation(self):
+        # a stable truncation is sufficient for Borel type, not necessary:
+        # S/(x2, x1^2) has Ass = {(x1, x2)}, but x3^e is killed by x2 and not
+        # by x1 in every degree e
+        M = Subquotient.cyclic(I(3, "x2", "x1^2"))
+        assert borel_verdict(M).is_borel
+        assert not is_strongly_stable_module(M)
+        assert truncation_stability_degree(M) is None
+        assert truncation_stability_degree(M, 50) is None
 
     def test_stable_truncation_of_non_borel_verdict_raises(self, monkeypatch):
         import boreltype.borel as borel_module

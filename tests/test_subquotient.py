@@ -263,12 +263,15 @@ class TestTopDegree:
             M.nvars,
             ceiling,
         )
+        top = M.top_degree()
+        assert (top is None) == (not M.is_artinian())
         if isinstance(expected, str):
             with pytest.raises(NotArtinianError) as exc:
                 M.artinian_hilbert(ceiling)
             assert str(exc.value) == expected
         else:
             assert M.artinian_hilbert(ceiling) == expected
+            assert top == len(expected) - 1
 
     # about one draw of modules() in eight is a nonzero Borel-type module
     @given(M=modules(), data=st.data())
