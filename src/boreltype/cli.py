@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--emax",
             type=int,
             default=None,
-            help="largest stable truncation degree reported; a larger one reads null",
+            help="cap on the reported least stable truncation degree, which reads null "
+            "past it (default: no cap; the degree is computed in closed form)",
         )
         p.add_argument(
             "--ceiling",

@@ -95,6 +95,24 @@ def raw_colon(gens, m):
     return raw_minimalize([tuple(max(a, b) - b for a, b in zip(g, m)) for g in gens])
 
 
+def raw_meet(gens_a, gens_b):
+    """Minimal generators of the intersection: the lcms of the pairs."""
+    return raw_minimalize([raw_lcm(a, b) for a in gens_a for b in gens_b])
+
+
+def raw_saturation(gens, sat):
+    """Minimal generators of the saturation at the ideal generated by sat: the
+    meet over its generators u of the generators with supp(u) zeroed."""
+    parts = [
+        raw_minimalize([tuple(0 if u[i] else e for i, e in enumerate(g)) for g in gens])
+        for u in sat
+    ]
+    meet = parts[0]
+    for part in parts[1:]:
+        meet = raw_meet(meet, part)
+    return meet
+
+
 def raw_associated_primes(numerator, denominator):
     """Ass(I/J) by witness search: the colons (J : m) generated by variables,
     over every monomial m of the exponent box of I and J in I and outside J.

@@ -37,13 +37,19 @@ MODULES = {
     # Borel type, yet no truncation is strongly stable: x3^e is killed by x2
     # and not by x1 in every degree e
     "borel_no_stable_truncation": "vars: 3\nnumerator:\nunit\ndenominator:\nx2\nx1^2\n",
+    # least stable truncation degree 9, past the largest generator degree plus
+    # the number of variables; pinned under check alone, as its filtration
+    # lists all 64 standard monomials
+    "fourth_powers": "vars: 3\nnumerator:\nunit\ndenominator:\nx1^4\nx2^4\nx3^4\n",
 }
 
 CASES = [
     (command, name, ())
     for name in MODULES
+    if name != "fourth_powers"
     for command in ("check", "chain", "reg", "filtration", "analyze")
 ] + [
+    ("check", "fourth_powers", ()),
     ("check", "cyclic_borel", ("--oracle-guard", "1")),
     ("check", "cyclic_borel", ("--field", "f2")),
     # the least stable truncation degree is 3, past the cap of 2
@@ -108,6 +114,7 @@ def test_golden_exercises_the_intended_paths():
     assert truncation("check borel_no_stable_truncation") == (True, None)
     assert truncation("check cyclic_artinian") == (True, 3)
     assert truncation("check cyclic_artinian --emax 2") == (True, None)
+    assert truncation("check fourth_powers") == (True, 9)
 
 
 if __name__ == "__main__":

@@ -9,19 +9,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boreltype import Monomial, MonomialIdeal, monomial_from_text, monomials_of_degree
+from boreltype import (
+    Monomial,
+    MonomialIdeal,
+    Subquotient,
+    associated_primes,
+    betti_table,
+    dimension_filtration,
+    irreducible_decomposition,
+    monomial_from_text,
+    monomials_of_degree,
+    primary_components,
+)
+from boreltype import monomial as monomial_module
 from boreltype.errors import DimensionMismatchError, GuardExceededError, ParseError
-from boreltype.monomial import EXPONENT_LIMIT, ensure_box
+from boreltype.monomial import EXPONENT_LIMIT, _saturate_monomial, ensure_box
 
 from .support import (
     exponent_tuples,
     gens_of,
     ideal_of,
     nonunit_tuples,
+    raw_colon,
     raw_ideals,
+    raw_meet,
     raw_member,
     raw_minimalize,
     raw_mul,
+    raw_saturation,
     raw_saturation_member,
     tuples_up_to,
 )
@@ -231,6 +246,133 @@ class TestIdealArithmetic:
             assert result.member(Monomial(m)) == raw_saturation_member(
                 m, gens, sat, power
             )
+
+
+class TestTrustedKernel:
+    """intersect, saturate and colon_monomial build their results without the
+    constructor's checks; they must equal the raw minimalization of the raw
+    generators, and the saturation memo must return what a fresh computation
+    does."""
+
+    @given(gens_a=raw_ideals(3), gens_b=raw_ideals(3, max_gens=3), g=exponent_tuples(3))
+    @settings(deadline=None, max_examples=150)
+    def test_results_are_raw_minimalizations(self, gens_a, gens_b, g):
+        ideal, other = ideal_of(3, gens_a), ideal_of(3, gens_b)
+        meet = ideal.intersect(other)
+        saturation = ideal.saturate(other)
+        quotient = ideal.colon_monomial(Monomial(g))
+        assert gens_of(meet) == raw_meet(gens_a, gens_b)
+        assert gens_of(saturation) == raw_saturation(gens_a, gens_b)
+        assert gens_of(quotient) == raw_colon(gens_a, g)
+        for result in (meet, saturation, quotient):
+            rebuilt = MonomialIdeal(3, result.gens)
+            assert result == rebuilt and hash(result) == hash(rebuilt)
+            assert result.nvars == 3
+
+    def test_unit_and_zero_operands(self):
+        ideal = I(3, "x1^2*x3", "x2^3")
+        unit, zero = MonomialIdeal.unit(3), MonomialIdeal.zero(3)
+        # the unit ideal returns the other operand itself
+        assert unit.intersect(ideal) is ideal
+        assert ideal.intersect(unit) is ideal
+        assert unit.intersect(unit) == unit
+        assert gens_of(unit.intersect(zero)) == gens_of(zero) == []
+        assert ideal.intersect(zero) == zero and zero.intersect(ideal) == zero
+        assert zero.saturate(I(3, "x1")) == zero
+        assert unit.saturate(I(3, "x1", "x2*x3")) == unit
+        assert ideal.saturate(unit) == ideal
+        assert zero.colon_monomial(Monomial((1, 0, 0))) == zero
+        assert unit.colon_monomial(Monomial((1, 2, 0))) == unit
+        assert ideal.colon_monomial(Monomial.unit(3)) == ideal
+        assert ideal.colon_monomial(Monomial((2, 0, 1))) == unit
+        assert gens_of(ideal.colon_monomial(Monomial((1, 1, 0)))) == raw_colon(
+            gens_of(ideal), (1, 1, 0)
+        )
+
+    def test_saturation_changing_no_generator_returns_the_ideal(self):
+        ideal = I(3, "x2^2", "x2*x3")
+        # a memo hit returns the result stored for an equal ideal, which need
+        # not be this object, so start from an empty memo
+        _saturate_monomial.cache_clear()
+        assert ideal.saturate(I(3, "x1")) is ideal
+        assert ideal.saturate(I(3, "x1")) is ideal  # and again from the memo
+        changed = ideal.saturate(I(3, "x3"))
+        assert changed is not ideal
+        assert gens_of(changed) == raw_saturation(gens_of(ideal), [(0, 0, 1)]) == [
+            (0, 1, 0)
+        ]
+
+    @given(gens=raw_ideals(4), sat=raw_ideals(4, max_gens=3))
+    @settings(deadline=None, max_examples=60)
+    def test_memo_agrees_with_a_fresh_computation(self, gens, sat):
+        ideal, other = ideal_of(4, gens), ideal_of(4, sat)
+        cached = ideal.saturate(other)
+        hits = _saturate_monomial.cache_info().hits
+        assert ideal.saturate(other) == cached
+        assert _saturate_monomial.cache_info().hits == hits + len(other.gens)
+        _saturate_monomial.cache_clear()
+        assert ideal.saturate(other) == cached
+        assert gens_of(cached) == raw_saturation(gens, sat)
+
+    def test_mixed_variable_counts_raise(self):
+        two, three = I(2, "x1*x2"), I(3, "x1", "x3^2")
+        for ideal, m in ((two, Monomial((1, 0, 0))), (three, Monomial((1, 0)))):
+            with pytest.raises(DimensionMismatchError):
+                ideal.member(m)
+            with pytest.raises(DimensionMismatchError):
+                ideal.colon_monomial(m)
+        # also where no generator would be compared
+        with pytest.raises(DimensionMismatchError):
+            MonomialIdeal.zero(2).member(Monomial((0, 0, 1)))
+        for a, b in ((two, three), (three, two)):
+            with pytest.raises(DimensionMismatchError):
+                a.intersect(b)
+            with pytest.raises(DimensionMismatchError):
+                a.saturate(b)
+        for a, b in ((MonomialIdeal.unit(2), three), (three, MonomialIdeal.unit(2))):
+            with pytest.raises(DimensionMismatchError):
+                a.intersect(b)
+
+
+class TestSaturationFreeRoutes:
+    """The independent routes never saturate: with the saturation kernel
+    replaced by one that raises and every cache cleared, associated primes,
+    irreducible and primary decomposition, the dimension filtration and the
+    Betti oracle still compute, and give what they gave before."""
+
+    IDEALS = (
+        ("x1^2", "x1*x2", "x2^2", "x1*x3"),
+        ("x1^3", "x1^2*x2", "x2^2*x3", "x1*x3^2"),
+        ("x2*x3", "x1^2"),
+    )
+
+    CACHED = (associated_primes, irreducible_decomposition, primary_components, betti_table)
+
+    def routes(self, ideal: MonomialIdeal):
+        module = Subquotient.cyclic(ideal)
+        sub = Subquotient(ideal.add(I(3, "x3")), ideal)
+        return (
+            associated_primes(module),
+            associated_primes(sub),
+            irreducible_decomposition(ideal),
+            primary_components(ideal),
+            [dimension_filtration(ideal, d) for d in range(ideal.nvars)],
+            betti_table(ideal),
+        )
+
+    def test_routes_compute_without_saturation(self, monkeypatch):
+        ideals = [I(3, *gens) for gens in self.IDEALS]
+        before = [self.routes(ideal) for ideal in ideals]
+
+        def refuse(*args):
+            raise AssertionError("the saturation kernel was called")
+
+        monkeypatch.setattr(monomial_module, "_saturate_monomial", refuse)
+        for cached in self.CACHED:
+            cached.cache_clear()
+        with pytest.raises(AssertionError):
+            ideals[0].saturate(I(3, "x1"))
+        assert [self.routes(ideal) for ideal in ideals] == before
 
 
 class TestEnumeration:
