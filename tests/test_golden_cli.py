@@ -41,12 +41,34 @@ MODULES = {
     # the number of variables; pinned under check alone, as its filtration
     # lists all 64 standard monomials
     "fourth_powers": "vars: 3\nnumerator:\nunit\ndenominator:\nx1^4\nx2^4\nx3^4\n",
+    # the refusal ladder, pinned under the four commands that read the chain
+    "zero": "vars: 2\nnumerator:\nx1\ndenominator:\nx1\n",
+    # M is the maximal ideal of K[x2,x3]: of Borel type, not sequentially CM
+    "not_sequentially_cm": "vars: 3\nnumerator:\nx1\nx2\nx3\ndenominator:\nx1\n",
+    # not sequentially CM, and its reduced top degree passes a ceiling of 4
+    "both_refusals": (
+        "vars: 4\nnumerator:\nx2^3*x4\nx1*x2*x3*x4\nx1^2\ndenominator:\nx1^2\n"
+    ),
+}
+
+# modules pinned only under the commands that read the chain, with options
+LADDER_CASES = {
+    "zero": (),
+    "not_sequentially_cm": (),
+    "both_refusals": ("--ceiling", "4"),
+    "cyclic_artinian": ("--ceiling", "2"),
 }
 
 CASES = [
     (command, name, ())
-    for name in MODULES
-    if name != "fourth_powers"
+    for name in (
+        "cyclic_borel",
+        "cyclic_artinian",
+        "subquotient_borel",
+        "non_borel",
+        "two_generator_primes",
+        "borel_no_stable_truncation",
+    )
     for command in ("check", "chain", "reg", "filtration", "analyze")
 ] + [
     ("check", "fourth_powers", ()),
@@ -60,6 +82,10 @@ CASES = [
     ("betti", "cyclic_borel", ("--field", "f2")),
     # a proper subquotient: betti refuses with exit 3
     ("betti", "subquotient_borel", ()),
+] + [
+    (command, name, options)
+    for name, options in LADDER_CASES.items()
+    for command in ("chain", "reg", "filtration", "check")
 ]
 
 
