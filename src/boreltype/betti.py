@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GuardExceededError
 from .monomial import Monomial, MonomialIdeal, ensure_box
 
 DEFAULT_ORACLE_GUARD = 1 << 16

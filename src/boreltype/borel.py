@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .decomposition import MonomialPrime, associated_primes, prime_sort_key
-from .errors import InternalInconsistencyError, NotBorelTypeError
+from .errors import InternalInconsistencyError, NotBorelTypeError, ZeroModuleError
 from .monomial import Monomial, MonomialIdeal, monomials_of_degree
 from .subquotient import Subquotient
 
@@ -92,6 +92,16 @@ def borel_verdict(module: Subquotient) -> BorelVerdict:
     return BorelVerdict(
         by_sat, by_pair, by_ass, sat_failures, pair_failures, prime_failures, primes
     )
+
+
+def require_borel(module: Subquotient, command: str) -> None:
+    """Rungs 1 and 2 of chain.prepare, naming the command that refuses."""
+    if module.is_zero():
+        raise ZeroModuleError(f"{command} is undefined for the zero module")
+    if not borel_verdict(module).is_borel:
+        raise NotBorelTypeError(
+            f"{command} needs a Borel-type module; run 'analyze' for the failing witnesses"
+        )
 
 
 def ideal_is_borel_type(ideal: MonomialIdeal) -> bool:

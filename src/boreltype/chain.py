@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .borel import borel_verdict
+from .borel import borel_verdict, require_borel
 from .decomposition import dimension_filtration, krull_dim
 from .errors import (
     InternalInconsistencyError,
@@ -98,6 +98,21 @@ def build_chain(module: Subquotient) -> SequentialChain:
     if not steps:
         raise AssertionError("unreachable: nonzero module produced an empty chain")
     return SequentialChain(module, tuple(steps))
+
+
+def prepare(module: Subquotient, command: str, ceiling) -> SequentialChain:
+    """The chain behind the one refusal ladder of its readers: require_borel,
+    then a failed construction (a defect once the verdict says Borel), then a
+    reduced top degree past the ceiling (NotArtinianError)."""
+    require_borel(module, command)
+    try:
+        chain = build_chain(module)
+    except Exception as exc:  # the verdict said Borel; any failure is a defect
+        raise InternalInconsistencyError(
+            f"chain construction failed on a Borel-type module: {exc}"
+        ) from exc
+    reduced_hilbert(chain, ceiling)
+    return chain
 
 
 def chain_quotients(chain: SequentialChain) -> list[tuple[Subquotient, Subquotient]]:

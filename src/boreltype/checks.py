@@ -21,10 +21,9 @@ from .borel import (
     truncation_stability_degree,
 )
 from .chain import (
-    build_chain,
     dimension_filtration_report,
     iterated_saturation_chain,
-    reduced_hilbert,
+    prepare,
     sequential_cm_report,
     torsion_ladder_matches_chain,
 )
@@ -150,14 +149,8 @@ def _run_all(module, options, add, report):
             add(name, "not_applicable", "module is not of Borel type")
         return EXIT_OK
 
-    try:
-        chain = build_chain(module)
-    except Exception as exc:  # the verdict said Borel; any failure is a defect
-        raise InternalInconsistencyError(
-            f"chain construction failed on a Borel-type module: {exc}"
-        ) from exc
     # refuses a reduced top degree past the ceiling before any other check
-    reduced_hilbert(chain, options.ceiling)
+    chain = prepare(module, "check", options.ceiling)
     n = module.nvars
     indices = chain.indices()
     ideals = chain.ideals()

@@ -5,6 +5,12 @@ report is a JSON object printed to stdout (and optionally written to a file
 with --json); reports carry the options that produced them and contain no
 timestamps, so identical invocations produce identical bytes.
 
+chain, reg, filtration and check reach the chain through chain.prepare, which
+refuses in order the zero module, a non-Borel module (check: not applicable),
+a failed chain construction (a defect) and a reduced top degree past
+--ceiling.  Then chain, reg and filtration refuse a step failing its
+regular-sequence certificate; check runs on, and its filtration build exits 2.
+
 Exit codes: 0 all requested checks passed or were skipped by a guard, 1 a
 mathematical cross-check failed, 2 an internal inconsistency was detected,
 3 the input was malformed or outside a command's domain.
@@ -20,12 +26,7 @@ from dataclasses import asdict
 
 from .betti import DEFAULT_ORACLE_GUARD, BettiTable, betti_table
 from .borel import borel_verdict, is_strongly_stable_module
-from .chain import (
-    SequentialChain,
-    build_chain,
-    reduced_hilbert,
-    sequential_cm_report,
-)
+from .chain import prepare, reduced_hilbert, sequential_cm_report
 from .checks import (
     DEFAULT_CEILING,
     EXIT_CHECK_FAILED,
@@ -57,6 +58,15 @@ from .regularity import regularity
 from .subquotient import Subquotient
 
 
+def nonnegative_int(text: str) -> int:
+    """The argparse type of --emax, --ceiling and --oracle-guard; argparse
+    names the flag when it refuses a value, and main exits 3."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boreltype",
@@ -71,21 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="module file path, or - for stdin")
         p.add_argument(
             "--emax",
-            type=int,
+            type=nonnegative_int,
             default=None,
             help="cap on the reported least stable truncation degree, which reads null "
             "past it (default: no cap; the degree is computed in closed form)",
         )
         p.add_argument(
             "--ceiling",
-            type=int,
+            type=nonnegative_int,
             default=DEFAULT_CEILING,
             help=f"largest reduced top degree; refused before any scan (default {DEFAULT_CEILING})",
         )
         p.add_argument(
             "--oracle-guard",
             dest="oracle_guard",
-            type=int,
+            type=nonnegative_int,
             default=DEFAULT_ORACLE_GUARD,
             help=f"largest multidegree box the Betti oracle will enumerate (default {DEFAULT_ORACLE_GUARD})",
         )
@@ -131,30 +141,19 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _require_borel(module: Subquotient, command: str) -> None:
-    if module.is_zero():
-        raise ZeroModuleError(f"{command} is undefined for the zero module")
-    if not borel_verdict(module).is_borel:
-        raise NotBorelTypeError(
-            f"{command} needs a Borel-type module; run 'analyze' for the failing witnesses"
-        )
-
-
-def _require_sequentially_cm(module: Subquotient, command: str) -> SequentialChain:
-    """The chain of a nonzero Borel-type module that is sequentially
-    Cohen-Macaulay, the hypothesis every number read off the chain rests on."""
-    _require_borel(module, command)
-    chain = build_chain(module)
+def _certified_chain(module: Subquotient, command: str, options: CheckOptions):
+    """prepare's chain, refused at the first step that fails its regular-sequence
+    certificate: chain, reg and filtration print only sequentially CM numbers."""
+    chain = prepare(module, command, options.ceiling)
     report = sequential_cm_report(chain)
-    regular = report["regular_sequences"]
-    for k, (step, holds) in enumerate(zip(chain.steps, regular), 1):
-        if not holds:
-            r = step.variable_index
-            trailing = ", ".join(f"x{i}" for i in range(r + 1, module.nvars + 1))
-            raise ValueError(
-                f"{command} needs a sequentially Cohen-Macaulay module; at chain "
-                f"step {k}, {trailing} is not a regular sequence on the step quotient"
-            )
+    if not all(report["regular_sequences"]):
+        k = report["regular_sequences"].index(False)
+        r = chain.steps[k].variable_index
+        trailing = ", ".join(f"x{i}" for i in range(r + 1, module.nvars + 1))
+        raise ValueError(
+            f"{command} needs a sequentially Cohen-Macaulay module; at chain "
+            f"step {k + 1}, {trailing} is not a regular sequence on the step quotient"
+        )
     if not report["ok"]:
         raise InternalInconsistencyError(
             f"chain quotient dimensions {report['quotient_dims']} of a Borel-type "
@@ -183,7 +182,7 @@ def _cmd_analyze(module: Subquotient, options: CheckOptions):
 
 
 def _cmd_chain(module: Subquotient, options: CheckOptions):
-    chain = _require_sequentially_cm(module, "chain")
+    chain = _certified_chain(module, "chain", options)
     n = module.nvars
     steps = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, options.ceiling)):
@@ -205,7 +204,7 @@ def _cmd_chain(module: Subquotient, options: CheckOptions):
 
 
 def _cmd_reg(module: Subquotient, options: CheckOptions):
-    _require_sequentially_cm(module, "reg")
+    _certified_chain(module, "reg", options)
     report = regularity(module, ceiling=options.ceiling).to_json()
     if module.is_cyclic():
         # reg(I) = reg(S/I) + 1 for a proper nonzero monomial ideal
@@ -241,10 +240,7 @@ def _write_betti_csv(table: BettiTable, path: str) -> None:
 
 
 def _cmd_filtration(module: Subquotient, options: CheckOptions):
-    _require_borel(module, "filtration")
-    chain = build_chain(module)
-    # refuses a reduced top degree past the ceiling before the build
-    reduced_hilbert(chain, options.ceiling)
+    chain = _certified_chain(module, "filtration", options)
     filtration = pretty_clean_filtration(module)
     verification = verify_filtration(filtration)
     lengths = filtration_length_report(filtration, chain, ceiling=options.ceiling)
@@ -354,13 +350,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         report, code = _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (InternalInconsistencyError, WitnessExhaustionError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (
+        ParseError,
         ValueError,
         OverflowError,
         ZeroModuleError,

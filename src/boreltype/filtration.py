@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import le
 
-from .borel import borel_verdict
+from .borel import require_borel
 from .chain import (
     SequentialChain,
     build_chain,
@@ -49,13 +49,7 @@ from .decomposition import (
     minimal_primes,
     prime_sort_key,
 )
-from .errors import (
-    DimensionMismatchError,
-    InternalInconsistencyError,
-    NotBorelTypeError,
-    WitnessExhaustionError,
-    ZeroModuleError,
-)
+from .errors import DimensionMismatchError, InternalInconsistencyError, WitnessExhaustionError
 from .monomial import Monomial, MonomialIdeal, trusted_monomial
 from .subquotient import Subquotient
 
@@ -91,10 +85,7 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     exists.  A certified step whose witnesses do not reach its target is an
     implementation defect (InternalInconsistencyError).
     """
-    if module.is_zero():
-        raise ZeroModuleError("the zero module has no prime filtration")
-    if not borel_verdict(module).is_borel:
-        raise NotBorelTypeError(f"{module} is not of Borel type")
+    require_borel(module, "filtration")
     chain = build_chain(module)
     n = module.nvars
     steps: list[FiltrationStep] = []

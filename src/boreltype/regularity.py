@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .borel import borel_verdict
-from .chain import SequentialChain, build_chain, reduced_hilbert
-from .errors import NotBorelTypeError, ZeroModuleError
+from .chain import SequentialChain, prepare, reduced_hilbert
 from .subquotient import Subquotient
 
 
@@ -53,11 +51,7 @@ class RegularityReport:
 
 def regularity(module: Subquotient, ceiling=None) -> RegularityReport:
     """Regularity, dimension and depth of a Borel-type module."""
-    if module.is_zero():
-        raise ZeroModuleError("regularity is undefined for the zero module")
-    if not borel_verdict(module).is_borel:
-        raise NotBorelTypeError(f"{module} is not of Borel type")
-    chain = build_chain(module)
+    chain = prepare(module, "regularity", ceiling)
     n = module.nvars
     steps = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from boreltype import (
     MonomialIdeal,
     Subquotient,
+    generate_corpus,
     parse_module_file,
     serialize_module,
 )
+from boreltype import chain as chain_module
 from boreltype import checks, cli
 from boreltype.cli import main
 from boreltype.errors import InternalInconsistencyError, NotArtinianError, ParseError
@@ -183,7 +186,7 @@ class TestCliCommands:
         assert report is None
         assert "error:" in err
 
-    @pytest.mark.parametrize("command", ["reg", "chain"])
+    @pytest.mark.parametrize("command", ["reg", "chain", "filtration"])
     def test_chain_readers_refuse_non_sequentially_cm(
         self, capsys, not_sequentially_cm_file, command
     ):
@@ -200,6 +203,45 @@ class TestCliCommands:
         code, report, _ = run_cli(capsys, "check", not_sequentially_cm_file)
         assert code == 2
         assert report["internal_inconsistency"].startswith("no witness with colon (x1)")
+
+    def test_chain_readers_refuse_alike_on_random_corpora(self, capsys, monkeypatch):
+        # chain, reg and filtration share one refusal ladder, so they exit
+        # and refuse alike on every module, the command name aside; one
+        # parser serves all 3000 runs, as building it dominates their time
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        refusals = Counter()
+        for seed in range(1, 6):
+            for nvars in (3, 4):
+                for module in generate_corpus(seed, 100, "random", nvars, 4):
+                    text = serialize_module(module)
+                    outcomes = []
+                    for command in ("chain", "reg", "filtration"):
+                        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                        code = main([command, "-"])
+                        err = capsys.readouterr().err
+                        err = err.replace(f"error: {command} ", "error: ")
+                        outcomes.append((code, err))
+                    assert outcomes[0] == outcomes[1] == outcomes[2], text
+                    if "sequentially Cohen-Macaulay" in outcomes[0][1]:
+                        refusals[outcomes[0][0]] += 1
+        assert refusals == {3: 5}
+
+    @pytest.mark.parametrize("command", ["chain", "reg", "filtration", "check"])
+    def test_failed_chain_construction_on_borel_input_is_internal(
+        self, capsys, monkeypatch, module_file, command
+    ):
+        def build(module):
+            raise ValueError("forced")
+
+        monkeypatch.setattr(chain_module, "build_chain", build)
+        code, report, err = run_cli(capsys, command, module_file)
+        assert code == 2
+        message = "chain construction failed on a Borel-type module: forced"
+        if command == "check":
+            assert report["internal_inconsistency"] == message
+        else:
+            assert report is None and err == f"internal inconsistency: {message}\n"
 
     def test_analyze_six_variable_artinian(self, capsys, six_variable_file):
         code, report, _ = run_cli(capsys, "analyze", six_variable_file)
@@ -393,6 +435,16 @@ class TestCliErrors:
         path.write_text("vars: 2\nnumerator:\nx1\ndenominator:\nx1\n")
         code, _, err = run_cli(capsys, "reg", str(path))
         assert code == 3 and "zero module" in err
+
+    @pytest.mark.parametrize("flag", ["--emax", "--ceiling", "--oracle-guard"])
+    @pytest.mark.parametrize(
+        "command", ["analyze", "chain", "reg", "betti", "filtration", "check", "fuzz"]
+    )
+    def test_negative_numeric_flag_is_refused(self, capsys, module_file, command, flag):
+        argv = [command] if command == "fuzz" else [command, module_file]
+        code, report, err = run_cli(capsys, *argv, flag, "-1")
+        assert code == 3 and report is None
+        assert f"argument {flag}: must be nonnegative, got -1" in err
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3
