@@ -49,6 +49,11 @@ MODULES = {
     "both_refusals": (
         "vars: 4\nnumerator:\nx2^3*x4\nx1*x2*x3*x4\nx1^2\ndenominator:\nx1^2\n"
     ),
+    # the benchmark's known fault: of Borel type, not sequentially CM
+    "known_fault": "vars: 4\nnumerator:\nx4^2\nx1^2*x3*x4\nx1^3\ndenominator:\nx1^3\n",
+    # the complete intersection (x3*x4, x2^2) over K[x2, x3, x4]: regularity 3
+    # and depth 2, yet its chain has one step at x1, which would read 2 and 3
+    "complete_intersection": "vars: 4\nnumerator:\nx3*x4\nx2^2\nx1\ndenominator:\nx1\n",
 }
 
 # modules pinned only under the commands that read the chain, with options
@@ -56,6 +61,8 @@ LADDER_CASES = {
     "zero": (),
     "not_sequentially_cm": (),
     "both_refusals": ("--ceiling", "4"),
+    "known_fault": (),
+    "complete_intersection": (),
     "cyclic_artinian": ("--ceiling", "2"),
 }
 
