@@ -51,8 +51,8 @@ from .errors import (
     InternalInconsistencyError,
     NotArtinianError,
     NotBorelTypeError,
+    NotSequentiallyCMError,
     ParseError,
-    WitnessExhaustionError,
     ZeroModuleError,
 )
 from .filtration import (
@@ -87,6 +87,7 @@ __all__ = [
     "MonomialPrime",
     "NotArtinianError",
     "NotBorelTypeError",
+    "NotSequentiallyCMError",
     "ParseError",
     "PrimeFiltration",
     "RegularityReport",
@@ -94,7 +95,6 @@ __all__ = [
     "SequentialChain",
     "SimplicialComplex",
     "Subquotient",
-    "WitnessExhaustionError",
     "ZeroModuleError",
     "associated_primes",
     "betti_table",

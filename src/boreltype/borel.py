@@ -95,7 +95,8 @@ def borel_verdict(module: Subquotient) -> BorelVerdict:
 
 
 def require_borel(module: Subquotient, command: str) -> None:
-    """Rungs 1 and 2 of chain.prepare, naming the command that refuses."""
+    """Rungs 1 and 2 of chain.prepare, and the guard of every report that
+    needs a Borel-type module, naming the command that refuses."""
     if module.is_zero():
         raise ZeroModuleError(f"{command} is undefined for the zero module")
     if not borel_verdict(module).is_borel:
@@ -203,7 +204,8 @@ def torsion_identity_report(module: Subquotient) -> dict:
 
     Checks torsion at x_j against torsion at consecutive products
     x_j x_{j+1} ... x_{j+p}, and torsion at sample monomials u against torsion
-    at the least variable of their support.  Input must be of Borel type.
+    at the least variable of their support.  Input must be a nonzero module
+    of Borel type.
 
     The torsion submodule at a principal ideal (u) is I meet (J : u^infinity),
     and J : u^infinity only depends on the support of u: a monomial m lies in
@@ -212,8 +214,7 @@ def torsion_identity_report(module: Subquotient) -> dict:
     submodule is computed once per distinct support.  The loops, their order
     and the first counterexample are those of one computation per monomial.
     """
-    if not borel_verdict(module).is_borel:
-        raise NotBorelTypeError(f"{module} is not of Borel type")
+    require_borel(module, "torsion_identity_report")
     n = module.nvars
     by_support: dict[tuple[int, ...], MonomialIdeal] = {}
 

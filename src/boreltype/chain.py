@@ -5,6 +5,12 @@ whose torsion in the remaining quotient is nonzero, then cut at the torsion of
 the whole module at that variable.  For Borel-type modules the chain is the
 dimension filtration; its successive quotients become Artinian after reducing
 by the trailing variables, which is what the regularity formula consumes.
+
+Every reader of the chain's numbers refuses in one order: prepare refuses the
+zero module, a non-Borel module, a failed construction and a reduced top
+degree past the ceiling (the filtration builder, which takes no ceiling, uses
+require_borel and build_chain); then require_sequentially_cm refuses a module
+that is not sequentially Cohen-Macaulay, on which those numbers do not hold.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .borel import borel_verdict, require_borel
+from .borel import require_borel
 from .decomposition import dimension_filtration, krull_dim
 from .errors import (
     InternalInconsistencyError,
     NotBorelTypeError,
+    NotSequentiallyCMError,
     ZeroModuleError,
 )
 from .monomial import Monomial, MonomialIdeal
@@ -57,7 +64,9 @@ def build_chain(module: Subquotient) -> SequentialChain:
     Precondition: the module is nonzero and is exhausted by its x1-torsion.
     The variable indices must strictly decrease and the chain ideals strictly
     grow; a violation means the chain is undefined for this module, which is
-    reported as a Borel-type failure.
+    reported as a Borel-type failure.  These guards stay beside
+    require_borel: prepare calls them only after the verdict said Borel, so
+    there they report a defect.
     """
     if module.is_zero():
         raise ZeroModuleError("the zero module has no sequential chain")
@@ -149,9 +158,7 @@ def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:
 
     Checks each variable in turn for being a nonzerodivisor on the quotient by
     the previously consumed ones: x is a nonzerodivisor on L/D exactly when
-    (D : x) meet L sits inside D.  Memoized like reduced_hilbert, since
-    sequential_cm_report and the filtration builder both read it for the
-    same chain.
+    (D : x) meet L sits inside D.  Memoized like reduced_hilbert.
     """
     if not 1 <= step_number <= len(chain.steps):
         raise ValueError(f"step {step_number} outside 1..{len(chain.steps)}")
@@ -172,10 +179,15 @@ def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def sequential_cm_report(chain: SequentialChain) -> dict:
     """Dimensions of the chain quotients and the regular-sequence verdicts.
 
-    Any failed assertion flags a non-Borel input or an implementation defect.
+    On a Borel-type module a failed regular sequence flags a module that is
+    not sequentially Cohen-Macaulay; any other failed assertion flags an
+    implementation defect.  Memoized like reduced_hilbert, since the check
+    report and every chain reader's require_sequentially_cm read it for the
+    same chain; callers must not mutate the shared report.
     """
     n = chain.base.nvars
     dims = []
@@ -204,6 +216,32 @@ def sequential_cm_report(chain: SequentialChain) -> dict:
     }
 
 
+def require_sequentially_cm(chain: SequentialChain, command: str) -> None:
+    """The rung after prepare for every reader of the chain's numbers.
+
+    Regularity, depth and a pretty clean filtration read off the chain hold
+    only for a sequentially Cohen-Macaulay module, as a pretty clean
+    filtration forces one (Herzog-Popescu).  Refuses (NotSequentiallyCMError)
+    the first step whose trailing variables are not a regular sequence on
+    its quotient; once they all are, quotient dimensions off n - r are a
+    defect (InternalInconsistencyError).
+    """
+    report = sequential_cm_report(chain)
+    if not all(report["regular_sequences"]):
+        k = report["regular_sequences"].index(False)
+        r = chain.steps[k].variable_index
+        trailing = ", ".join(f"x{i}" for i in range(r + 1, chain.base.nvars + 1))
+        raise NotSequentiallyCMError(
+            f"{command} needs a sequentially Cohen-Macaulay module; at chain "
+            f"step {k + 1}, {trailing} is not a regular sequence on the step quotient"
+        )
+    if not report["ok"]:
+        raise InternalInconsistencyError(
+            f"chain quotient dimensions {report['quotient_dims']} of a Borel-type "
+            f"module are not {report['expected_dims']}"
+        )
+
+
 def torsion_ladder_matches_chain(chain: SequentialChain) -> bool:
     """The distinct nonzero torsion submodules at x_n, ..., x_1, in that order,
     must be exactly the chain ideals."""
@@ -226,8 +264,7 @@ def dimension_filtration_report(ideal: MonomialIdeal) -> dict:
     n - i is exactly the x_i-torsion, for every i.
     """
     module = Subquotient.cyclic(ideal)
-    if not borel_verdict(module).is_borel:
-        raise NotBorelTypeError(f"S/{ideal} is not of Borel type")
+    require_borel(module, "dimension_filtration_report")
     n = ideal.nvars
     entries = []
     for i in range(1, n + 1):

@@ -3,9 +3,10 @@ the package knows about, run against a single module.
 
 The exit-code contract: 0 all checks pass (or are inapplicable), 1 a
 mathematical cross-check failed, 2 an internal inconsistency (a result theory
-proves impossible, e.g. the Borel criteria disagreeing or witness exhaustion
-on a Borel input), 3 malformed input.  Guard-limited checks report
-"skipped" and do not affect the exit code.
+proves impossible, e.g. the Borel criteria disagreeing), 3 malformed input.
+A Borel-type module that is not sequentially Cohen-Macaulay also exits 2: its
+filtration build refuses it, and the report names the failing chain step.
+Guard-limited checks report "skipped" and do not affect the exit code.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .chain import (
 from .errors import (
     GuardExceededError,
     InternalInconsistencyError,
-    WitnessExhaustionError,
+    NotSequentiallyCMError,
 )
 from .filtration import (
     filtration_length_report,
@@ -79,7 +80,7 @@ def run_check(module: Subquotient, options: CheckOptions = CheckOptions()):
 
     try:
         exit_code = _run_all(module, options, add, report)
-    except (InternalInconsistencyError, WitnessExhaustionError) as exc:
+    except (InternalInconsistencyError, NotSequentiallyCMError) as exc:
         report["internal_inconsistency"] = str(exc)
         exit_code = EXIT_INTERNAL
     if exit_code != EXIT_INTERNAL and any(c["status"] == "fail" for c in checks):
@@ -227,7 +228,7 @@ def _run_all(module, options, add, report):
         add("regularity_vs_oracle", "not_applicable", "oracle handles cyclic modules")
         add("depth_vs_oracle", "not_applicable", "oracle handles cyclic modules")
 
-    # witness exhaustion on Borel input propagates as an internal inconsistency
+    # a module that is not sequentially CM is refused here, as an inconsistency
     filtration = pretty_clean_filtration(module)
     verification = verify_filtration(filtration)
     add(

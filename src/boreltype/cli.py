@@ -8,8 +8,11 @@ timestamps, so identical invocations produce identical bytes.
 chain, reg, filtration and check reach the chain through chain.prepare, which
 refuses in order the zero module, a non-Borel module (check: not applicable),
 a failed chain construction (a defect) and a reduced top degree past
---ceiling.  Then chain, reg and filtration refuse a step failing its
-regular-sequence certificate; check runs on, and its filtration build exits 2.
+--ceiling.  Then chain.require_sequentially_cm refuses a module that is not
+sequentially Cohen-Macaulay, naming the first chain step whose trailing
+variables are not a regular sequence: chain, reg and filtration exit 3, while
+check runs its other checks first and reports the refusal of its filtration
+build as an internal inconsistency (exit 2).
 
 Exit codes: 0 all requested checks passed or were skipped by a guard, 1 a
 mathematical cross-check failed, 2 an internal inconsistency was detected,
@@ -26,7 +29,7 @@ from dataclasses import asdict
 
 from .betti import DEFAULT_ORACLE_GUARD, BettiTable, betti_table
 from .borel import borel_verdict, is_strongly_stable_module
-from .chain import prepare, reduced_hilbert, sequential_cm_report
+from .chain import prepare, reduced_hilbert, require_sequentially_cm
 from .checks import (
     DEFAULT_CEILING,
     EXIT_CHECK_FAILED,
@@ -43,8 +46,8 @@ from .errors import (
     InternalInconsistencyError,
     NotArtinianError,
     NotBorelTypeError,
+    NotSequentiallyCMError,
     ParseError,
-    WitnessExhaustionError,
     ZeroModuleError,
 )
 from .filtration import (
@@ -141,27 +144,6 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _certified_chain(module: Subquotient, command: str, options: CheckOptions):
-    """prepare's chain, refused at the first step that fails its regular-sequence
-    certificate: chain, reg and filtration print only sequentially CM numbers."""
-    chain = prepare(module, command, options.ceiling)
-    report = sequential_cm_report(chain)
-    if not all(report["regular_sequences"]):
-        k = report["regular_sequences"].index(False)
-        r = chain.steps[k].variable_index
-        trailing = ", ".join(f"x{i}" for i in range(r + 1, module.nvars + 1))
-        raise ValueError(
-            f"{command} needs a sequentially Cohen-Macaulay module; at chain "
-            f"step {k + 1}, {trailing} is not a regular sequence on the step quotient"
-        )
-    if not report["ok"]:
-        raise InternalInconsistencyError(
-            f"chain quotient dimensions {report['quotient_dims']} of a Borel-type "
-            f"module are not {report['expected_dims']}"
-        )
-    return chain
-
-
 def _cmd_analyze(module: Subquotient, options: CheckOptions):
     verdict = borel_verdict(module)
     report = {
@@ -182,7 +164,8 @@ def _cmd_analyze(module: Subquotient, options: CheckOptions):
 
 
 def _cmd_chain(module: Subquotient, options: CheckOptions):
-    chain = _certified_chain(module, "chain", options)
+    chain = prepare(module, "chain", options.ceiling)
+    require_sequentially_cm(chain, "chain")
     n = module.nvars
     steps = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, options.ceiling)):
@@ -204,7 +187,7 @@ def _cmd_chain(module: Subquotient, options: CheckOptions):
 
 
 def _cmd_reg(module: Subquotient, options: CheckOptions):
-    _certified_chain(module, "reg", options)
+    require_sequentially_cm(prepare(module, "reg", options.ceiling), "reg")
     report = regularity(module, ceiling=options.ceiling).to_json()
     if module.is_cyclic():
         # reg(I) = reg(S/I) + 1 for a proper nonzero monomial ideal
@@ -240,7 +223,8 @@ def _write_betti_csv(table: BettiTable, path: str) -> None:
 
 
 def _cmd_filtration(module: Subquotient, options: CheckOptions):
-    chain = _certified_chain(module, "filtration", options)
+    chain = prepare(module, "filtration", options.ceiling)
+    require_sequentially_cm(chain, "filtration")
     filtration = pretty_clean_filtration(module)
     verification = verify_filtration(filtration)
     lengths = filtration_length_report(filtration, chain, ceiling=options.ceiling)
@@ -350,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         report, code = _dispatch(args)
-    except (InternalInconsistencyError, WitnessExhaustionError) as exc:
+    except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (
@@ -360,6 +344,7 @@ def main(argv=None) -> int:
         ZeroModuleError,
         NotBorelTypeError,
         NotArtinianError,
+        NotSequentiallyCMError,
         GuardExceededError,
         OSError,
     ) as exc:

@@ -25,9 +25,10 @@ class GuardExceededError(AlgebraError):
     """An enumeration box grew past its configured size guard."""
 
 
-class WitnessExhaustionError(AlgebraError):
-    """No monomial of a chain step's target outside the current ideal has
-    the step prime as its colon."""
+class NotSequentiallyCMError(AlgebraError):
+    """A chain step's trailing variables are not a regular sequence on its
+    quotient: the module is not sequentially Cohen-Macaulay, so it has no
+    pretty clean filtration and the chain does not give its regularity."""
 
 
 class InternalInconsistencyError(AlgebraError):

@@ -19,19 +19,22 @@ w x_i and w v x_i share their owner, or lie in C0 together, so w qualifies
 whenever w v does.  So W is enumerated once and the witnesses come off a heap
 of the qualifying ones, with no colon or intersection per witness.
 
-A step whose certificate fails is not Cohen-Macaulay, and the partition may
-not exist: there the least witness is searched for directly, as a minimal
-generator of T meet (current : P) outside current : (x_{r+1}...x_n)^infinity.
-That search raises WitnessExhaustionError when no generator qualifies, as on
-Borel-type modules that are not sequentially Cohen-Macaulay.  The filtration
-is pretty clean, and its per-step counts match the dimensions of the reduced
-chain quotients.
+Every step of a chain that passes chain.require_sequentially_cm has the
+certificate, and a step without it has no filtration by S/P factors: such a
+filtration would make x_{r+1}, ..., x_n a regular sequence on T/C0, since it
+is one on S/P and a sequence regular on both ends of a short exact sequence is
+regular on its middle; T/C0 would then have depth at least its dimension
+n - r, so it would be Cohen-Macaulay.  As the chain of a Borel-type module is
+its dimension filtration, a failed step marks a module that is not
+sequentially Cohen-Macaulay, and such a module has no pretty clean filtration
+at all (Herzog-Popescu), so the builder refuses it before seeking a witness.
+The filtration is pretty clean, and its per-step counts match the dimensions
+of the reduced chain quotients.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import le
@@ -41,7 +44,7 @@ from .chain import (
     SequentialChain,
     build_chain,
     reduced_hilbert,
-    regular_sequence_holds,
+    require_sequentially_cm,
 )
 from .decomposition import (
     MonomialPrime,
@@ -49,7 +52,7 @@ from .decomposition import (
     minimal_primes,
     prime_sort_key,
 )
-from .errors import DimensionMismatchError, InternalInconsistencyError, WitnessExhaustionError
+from .errors import DimensionMismatchError, InternalInconsistencyError
 from .monomial import Monomial, MonomialIdeal, trusted_monomial
 from .subquotient import Subquotient
 
@@ -74,19 +77,19 @@ class PrimeFiltration:
 
 
 def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
-    """Build a prime filtration with non-increasing primes for a Borel module.
+    """Build a prime filtration with non-increasing primes for a sequentially
+    Cohen-Macaulay Borel-type module.
 
     Each witness is the least, by (degree, exponents), of the monomials in
-    the step's target outside current whose colon is exactly the step prime.
-    On a chain step with the regular-sequence certificate these are read off
-    the step's Stanley spaces (_stanley_witnesses); on any other step they
-    are searched for among the generators of an intersection of colons
-    (_searched_witnesses), which raises WitnessExhaustionError when none
-    exists.  A certified step whose witnesses do not reach its target is an
-    implementation defect (InternalInconsistencyError).
+    the step's target outside current whose colon is exactly the step prime,
+    read off the step's Stanley spaces (_stanley_witnesses).  A module that is
+    not sequentially Cohen-Macaulay is refused (NotSequentiallyCMError), as it
+    has no such filtration; a step whose witnesses do not reach its target is
+    an implementation defect (InternalInconsistencyError).
     """
     require_borel(module, "filtration")
     chain = build_chain(module)
+    require_sequentially_cm(chain, "filtration")
     n = module.nvars
     steps: list[FiltrationStep] = []
     current = module.denominator
@@ -94,11 +97,7 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
         r = step.variable_index
         prime = MonomialPrime(n, tuple(range(1, r + 1)))
         target = step.ideal
-        if regular_sequence_holds(chain, k):
-            witnesses = _stanley_witnesses(Subquotient(target, current), r)
-        else:
-            witnesses = _searched_witnesses(current, target, r, prime)
-        for witness in witnesses:
+        for witness in _stanley_witnesses(Subquotient(target, current), r):
             current = MonomialIdeal(n, current.gens + (witness,))
             steps.append(FiltrationStep(current, witness, prime))
         if current != target:
@@ -169,40 +168,6 @@ def _stanley_witnesses(quotient: Subquotient, r: int) -> list[Monomial]:
             if not waiting[d]:
                 heappush(ready, (sum(d), d))
     return order
-
-
-def _searched_witnesses(
-    current: MonomialIdeal, target: MonomialIdeal, r: int, prime: MonomialPrime
-) -> Iterator[Monomial]:
-    """Yield the least witness in (degree, exponents) order, by intersecting
-    colons, until current reaches target.
-
-    Let D_i be generated by g/x_i over the generators g of current divisible
-    by x_i, so current : x_i = current + D_i.  As current lies in target,
-    distributivity of monomial ideals gives target meet (current : P) =
-    current + A, A = target meet D_1 meet ... meet D_r.  The least monomial
-    of an ideal outside another ideal is a minimal generator of the first, so
-    the least witness is the least generator of A that lies outside the
-    saturation current : (x_{r+1}...x_n)^infinity.
-    """
-    n = current.nvars
-    while current != target:
-        admissible = target
-        for i in range(r, 0, -1):  # D_r first keeps the intersections small
-            x = Monomial.variable(i, n)
-            shifted = tuple(g.div(x) for g in current.gens if x.divides(g))
-            admissible = admissible.intersect(MonomialIdeal(n, shifted))
-        # generators of current : (x_{r+1}...x_n)^infinity
-        sat = [trusted_monomial(h.exps[:r] + (0,) * (n - r)) for h in current.gens]
-        outside = [g for g in admissible.gens if not any(s.divides(g) for s in sat)]
-        if not outside:
-            raise WitnessExhaustionError(
-                f"no witness with colon ({prime}) while extending {current} "
-                f"toward {target}"
-            )
-        witness = min(outside, key=lambda g: (g.degree, g.exps))
-        yield witness
-        current = MonomialIdeal(n, current.gens + (witness,))
 
 
 def primes_never_grow(primes) -> bool:

@@ -1,18 +1,21 @@
 """Castelnuovo-Mumford regularity of Borel-type modules via the sequential
 chain.
 
-For a Borel-type module the regularity is the maximum, over the chain steps,
-of the top nonvanishing degree of the Artinian reduction of the step quotient.
-The report also carries the dimension and depth read off the first and last
-chain indices, and the a-invariants (top degree minus quotient dimension) per
-step.
+For a sequentially Cohen-Macaulay Borel-type module the regularity is the
+maximum, over the chain steps, of the top nonvanishing degree of the Artinian
+reduction of the step quotient.  The report also carries the dimension and
+depth read off the first and last chain indices, and the a-invariants (top
+degree minus quotient dimension) per step.  A Borel-type module that is not
+sequentially Cohen-Macaulay is refused: on the complete intersection
+(x3*x4, x2^2, x1)/(x1) the chain has one step at x1 and would read regularity
+2 and depth 3, where the true values are 3 and 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import SequentialChain, prepare, reduced_hilbert
+from .chain import SequentialChain, prepare, reduced_hilbert, require_sequentially_cm
 from .subquotient import Subquotient
 
 
@@ -50,8 +53,10 @@ class RegularityReport:
 
 
 def regularity(module: Subquotient, ceiling=None) -> RegularityReport:
-    """Regularity, dimension and depth of a Borel-type module."""
+    """Regularity, dimension and depth of a sequentially Cohen-Macaulay
+    Borel-type module."""
     chain = prepare(module, "regularity", ceiling)
+    require_sequentially_cm(chain, "regularity")
     n = module.nvars
     steps = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):

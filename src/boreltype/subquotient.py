@@ -76,17 +76,6 @@ class Subquotient:
                 gens.extend(g.mul(m) for m in monomials_of_degree(n, degree - g.degree))
         return Subquotient(MonomialIdeal(n, tuple(gens)), self.denominator)
 
-    def hilbert_function(self, degree: int) -> int:
-        """Number of monomials of the given degree in the numerator but not
-        the denominator."""
-        if degree < 0:
-            return 0
-        count = 0
-        for m in monomials_of_degree(self.nvars, degree):
-            if self.numerator.member(m) and not self.denominator.member(m):
-                count += 1
-        return count
-
     def artinian_reduction(self, r: int) -> "Subquotient":
         """The quotient by the action of the trailing variables x_{r+1}..x_n."""
         if not 1 <= r <= self.nvars:

@@ -6,7 +6,9 @@ colon, intersection, and saturation results.  The two exceptions are the
 ideal-building loops the package's cheaper routes must agree with:
 raw_torsion_identity_report, which calls the package's torsion submodule
 for every monomial it tests, and raw_step_violations, which builds each
-filtration step's extension and colon ideals.
+filtration step's extension and colon ideals.  hilbert_function counts one
+degree of a module with the package's membership test; it is the independent
+check of Subquotient.artinian_hilbert.
 """
 
 from __future__ import annotations
@@ -150,6 +152,18 @@ def raw_irreducible_components(gens, nvars: int):
                 tuple((i + 1, m[i] + 1) for i in range(nvars) if m[i] < caps[i])
             )
     return components
+
+
+def hilbert_function(module: Subquotient, degree: int) -> int:
+    """Number of monomials of the given degree in the numerator but not
+    the denominator."""
+    if degree < 0:
+        return 0
+    return sum(
+        1
+        for m in monomials_of_degree(module.nvars, degree)
+        if module.numerator.member(m) and not module.denominator.member(m)
+    )
 
 
 def raw_artinian_hilbert(numerator, denominator, nvars: int, ceiling=None):

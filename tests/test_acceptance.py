@@ -122,7 +122,7 @@ def test_criterion_4_dimension_filtration_is_torsion(borel_corpus):
 def test_criterion_5_pretty_clean_filtrations(borel_corpus, mixed_corpus):
     checked = 0
     for M in _borel_instances(borel_corpus) + _borel_instances(mixed_corpus):
-        filtration = pretty_clean_filtration(M)  # WitnessExhaustionError = fail
+        filtration = pretty_clean_filtration(M)  # NotSequentiallyCMError = fail
         report = verify_filtration(filtration)
         assert report["pretty_clean"], (M, report["violations"])
         assert report["support_equals_ass"], (M, report)

@@ -21,7 +21,11 @@ from boreltype import (
     torsion_identity_report,
     truncation_stability_degree,
 )
-from boreltype.errors import InternalInconsistencyError, NotBorelTypeError
+from boreltype.errors import (
+    InternalInconsistencyError,
+    NotBorelTypeError,
+    ZeroModuleError,
+)
 
 from .support import modules, monomial_ideals, raw_torsion_identity_report
 
@@ -298,6 +302,10 @@ class TestTorsionIdentities:
     def test_requires_borel(self):
         with pytest.raises(NotBorelTypeError):
             torsion_identity_report(Subquotient.cyclic(I(2, "x2")))
+
+    def test_refuses_the_zero_module(self):
+        with pytest.raises(ZeroModuleError):
+            torsion_identity_report(Subquotient(I(2, "x1"), I(2, "x1")))
 
     @given(M=modules(max_vars=3))
     @settings(deadline=None, max_examples=40)

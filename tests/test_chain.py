@@ -123,8 +123,9 @@ class TestRegularSequences:
 
 
     def test_check_computes_each_certificate_once(self, monkeypatch):
-        # sequential_cm_report and the filtration builder both ask for every
-        # step's certificate; the second request must be a cache hit
+        # the check report, regularity and the filtration builder all read
+        # the memoized sequential_cm_report, which asks once for every step's
+        # certificate
         M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
         requested = []
 
@@ -133,14 +134,16 @@ class TestRegularSequences:
             return regular_sequence_holds(chain, step_number)
 
         monkeypatch.setattr(chain_module, "regular_sequence_holds", counted)
-        monkeypatch.setattr(filtration_module, "regular_sequence_holds", counted)
+        assert not hasattr(filtration_module, "regular_sequence_holds")
         regular_sequence_holds.cache_clear()
+        sequential_cm_report.cache_clear()
         report, code = run_check(M)
         assert code == 0
         pairs = set(requested)
         assert len(pairs) == len(build_chain(M)) > 1
-        assert len(requested) == 2 * len(pairs)
+        assert len(requested) == len(pairs)
         assert regular_sequence_holds.cache_info().misses == len(pairs)
+        assert sequential_cm_report.cache_info().misses == 1
 
 
 class TestCmReport:

@@ -26,10 +26,11 @@ from boreltype import (
     verify_filtration,
 )
 from boreltype import filtration as filtration_module
+from boreltype.chain import require_sequentially_cm
 from boreltype.errors import (
     InternalInconsistencyError,
     NotBorelTypeError,
-    WitnessExhaustionError,
+    NotSequentiallyCMError,
     ZeroModuleError,
 )
 from boreltype.filtration import primes_never_grow
@@ -330,20 +331,26 @@ class TestWitnessParity:
 
     @staticmethod
     def matches_box_scan(M):
-        """Compare with the raw box scan; returns where the scan got stuck."""
+        """Compare with the raw box scan; returns where the scan got stuck.
+
+        The scan gets stuck at the prime (x1..xr) exactly when the builder
+        refuses the module at the chain step with index r."""
         n = M.nvars
-        chain = [(s.variable_index, gens_of(s.ideal)) for s in build_chain(M).steps]
+        built = build_chain(M)
+        chain = [(s.variable_index, gens_of(s.ideal)) for s in built.steps]
         witnesses, stuck = raw_witnesses(gens_of(M.denominator), chain)
         if stuck is None:
             steps = pretty_clean_filtration(M).steps
             assert [s.witness.exps for s in steps] == witnesses
             return None
-        r, current, target = stuck
-        with pytest.raises(WitnessExhaustionError) as raised:
+        r = stuck[0]
+        trailing = ", ".join(f"x{i}" for i in range(r + 1, n + 1))
+        with pytest.raises(NotSequentiallyCMError) as raised:
             pretty_clean_filtration(M)
         assert str(raised.value) == (
-            f"no witness with colon ({P(n, *range(1, r + 1))}) while extending "
-            f"{ideal_of(n, current)} toward {ideal_of(n, target)}"
+            "filtration needs a sequentially Cohen-Macaulay module; at chain "
+            f"step {built.indices().index(r) + 1}, {trailing} is not a regular sequence "
+            "on the step quotient"
         )
         return stuck
 
@@ -366,7 +373,7 @@ class TestWitnessParity:
     # Every distinct Borel-type module of generate_corpus(seed, 60, "random",
     # n, 4), seeds 1-8, n = 2-5, that is not sequentially Cohen-Macaulay: its
     # one chain step, at x1, fails the regular-sequence certificate, so the
-    # colon intersection search must get stuck exactly where the box scan does
+    # builder must refuse it exactly where the box scan gets stuck
     @pytest.mark.parametrize(
         "nvars, numerator, denominator",
         [
@@ -474,10 +481,17 @@ class TestStanleyWitnesses:
     def test_non_artinian_reduction_of_a_certified_step_is_refused(self, monkeypatch):
         # a chain whose only step claims r = n on S/(x1): the step passes the
         # (empty) regular-sequence test, but its reduced quotient K[x2] is
-        # infinite, so enumerating its standard monomials would never end
+        # infinite, so enumerating its standard monomials would never end.
+        # The rung's dimension check refuses this chain first, so it is
+        # patched out to reach the builder's own guard
         M = cyclic(2, "x1")
         fake = SequentialChain(M, (ChainStep(2, MonomialIdeal.unit(2)),))
+        with pytest.raises(InternalInconsistencyError, match="dimensions"):
+            require_sequentially_cm(fake, "filtration")
         monkeypatch.setattr(filtration_module, "build_chain", lambda module: fake)
+        monkeypatch.setattr(
+            filtration_module, "require_sequentially_cm", lambda chain, command: None
+        )
         with pytest.raises(InternalInconsistencyError, match="is not Artinian"):
             pretty_clean_filtration(M)
 

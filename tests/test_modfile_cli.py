@@ -202,7 +202,10 @@ class TestCliCommands:
     ):
         code, report, _ = run_cli(capsys, "check", not_sequentially_cm_file)
         assert code == 2
-        assert report["internal_inconsistency"].startswith("no witness with colon (x1)")
+        assert report["internal_inconsistency"] == (
+            "filtration needs a sequentially Cohen-Macaulay module; at chain "
+            "step 1, x2, x3, x4 is not a regular sequence on the step quotient"
+        )
 
     def test_chain_readers_refuse_alike_on_random_corpora(self, capsys, monkeypatch):
         # chain, reg and filtration share one refusal ladder, so they exit
@@ -353,7 +356,7 @@ class TestCliCommands:
 
     def test_fuzz_record_carries_internal_inconsistency(self, capsys):
         # instance 28 is I = (x4^2, x1^2*x3*x4, x1^3), J = (x1^3): of Borel
-        # type but not sequentially Cohen-Macaulay, so no witness exists
+        # type but not sequentially Cohen-Macaulay, so its filtration is refused
         code, report, _ = run_cli(
             capsys, "fuzz", "--seed", "5", "--count", "29", "--gen", "random",
             "--vars", "4", "--maxdeg", "4",
@@ -366,7 +369,9 @@ class TestCliCommands:
             "denominator": ["x1^3"],
         }
         assert record["exit_code"] == 2
-        assert record["internal_inconsistency"].startswith("no witness with colon (x1)")
+        assert record["internal_inconsistency"].startswith(
+            "filtration needs a sequentially Cohen-Macaulay module; at chain step 1,"
+        )
         assert all(
             "internal_inconsistency" not in r for r in report["instances"][:28]
         )

@@ -11,13 +11,18 @@ from boreltype import (
     MonomialIdeal,
     Subquotient,
     betti_table,
+    borel_verdict,
+    build_chain,
+    generate_corpus,
     oracle_invariants,
     regularity,
     run_check,
 )
 from boreltype.checks import CheckOptions
-from boreltype.errors import NotBorelTypeError, ZeroModuleError
+from boreltype.errors import NotBorelTypeError, NotSequentiallyCMError, ZeroModuleError
 from boreltype.monomial import box_size
+
+from .support import gens_of, raw_witnesses
 
 
 def I(nvars, *gens):
@@ -65,6 +70,27 @@ class TestGoldenValues:
     def test_non_borel_rejected(self):
         with pytest.raises(NotBorelTypeError):
             regularity(cyclic(2, "x2"))
+
+    @pytest.mark.parametrize(
+        "nvars, numerator, trailing",
+        [
+            # the complete intersection (x3*x4, x2^2) over K[x2, x3, x4] has
+            # regularity 3 and depth 2; its one chain step, at x1, would read
+            # regularity 2 and depth 3
+            (4, ("x3*x4", "x2^2", "x1"), "x2, x3, x4"),
+            # the maximal ideal of K[x2, x3]
+            (3, ("x1", "x2", "x3"), "x2, x3"),
+        ],
+    )
+    def test_not_sequentially_cohen_macaulay_rejected(self, nvars, numerator, trailing):
+        M = Subquotient(I(nvars, *numerator), I(nvars, "x1"))
+        assert borel_verdict(M).is_borel
+        with pytest.raises(NotSequentiallyCMError) as raised:
+            regularity(M)
+        assert str(raised.value) == (
+            "regularity needs a sequentially Cohen-Macaulay module; at chain "
+            f"step 1, {trailing} is not a regular sequence on the step quotient"
+        )
 
 
 def _oracle_checks(module, **options):
@@ -133,6 +159,32 @@ class TestCorpusProperties:
                 continue
             report = regularity(M)
             assert report.regularity >= M.denominator.max_gen_degree() - 1
+
+    def test_refuses_exactly_where_the_box_scan_gets_stuck(self):
+        # a Borel-type module without a pretty clean filtration is not
+        # sequentially Cohen-Macaulay, and the chain does not give its
+        # regularity: regularity() must refuse exactly those, at the chain
+        # step whose prime the witness scan of tests/support.py gets stuck at
+        refused = 0
+        for seed in range(1, 6):
+            for nvars in (3, 4):
+                for M in generate_corpus(seed, 100, "random", nvars, 4):
+                    if M.is_zero() or not borel_verdict(M).is_borel:
+                        continue
+                    chain = build_chain(M)
+                    _, stuck = raw_witnesses(
+                        gens_of(M.denominator),
+                        [(s.variable_index, gens_of(s.ideal)) for s in chain.steps],
+                    )
+                    if stuck is None:
+                        regularity(M)
+                        continue
+                    with pytest.raises(NotSequentiallyCMError) as raised:
+                        regularity(M)
+                    step = chain.indices().index(stuck[0]) + 1
+                    assert f"at chain step {step}, " in str(raised.value), M
+                    refused += 1
+        assert refused == 5
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=30)
