@@ -17,7 +17,14 @@ exactly when, for each i <= r, m x_i lies in C0 or its owner is placed.  A
 witness w v with v a nonunit in the trailing variables is never the least:
 w x_i and w v x_i share their owner, or lie in C0 together, so w qualifies
 whenever w v does.  So W is enumerated once and the witnesses come off a heap
-of the qualifying ones, with no colon or intersection per witness.
+of the qualifying ones, with no colon or intersection per witness.  Each
+witness is then placed by MonomialIdeal.add_monomial, one pass over the
+current generators that keeps the witness and the generators it does not
+divide, with nothing minimalized again.  Two checks still see every placement:
+the builder's own current == target at the end of each chain step, where the
+target comes from the torsion submodules by another route, and
+verify_filtration, which re-derives each step from generator exponents in its
+own pass.
 
 Every step of a chain that passes chain.require_sequentially_cm has the
 certificate, and a step without it has no filtration by S/P factors: such a
@@ -82,10 +89,13 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
 
     Each witness is the least, by (degree, exponents), of the monomials in
     the step's target outside current whose colon is exactly the step prime,
-    read off the step's Stanley spaces (_stanley_witnesses).  A module that is
-    not sequentially Cohen-Macaulay is refused (NotSequentiallyCMError), as it
-    has no such filtration; a step whose witnesses do not reach its target is
-    an implementation defect (InternalInconsistencyError).
+    read off the step's Stanley spaces (_stanley_witnesses).  Each witness is
+    placed by current.add_monomial(witness), one pass over the current
+    generators; the placements are checked by current == target at the end
+    of each chain step, and again by verify_filtration's own pass.  A module
+    that is not sequentially Cohen-Macaulay is refused (NotSequentiallyCMError),
+    as it has no such filtration; a step whose witnesses do not reach its
+    target is an implementation defect (InternalInconsistencyError).
     """
     require_borel(module, "filtration")
     chain = build_chain(module)
@@ -98,7 +108,7 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
         prime = MonomialPrime(n, tuple(range(1, r + 1)))
         target = step.ideal
         for witness in _stanley_witnesses(Subquotient(target, current), r):
-            current = MonomialIdeal(n, current.gens + (witness,))
+            current = current.add_monomial(witness)
             steps.append(FiltrationStep(current, witness, prime))
         if current != target:
             raise InternalInconsistencyError(

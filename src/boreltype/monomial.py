@@ -14,7 +14,10 @@ construction and skip that validation; only the variable counts of the
 operands are still compared, so that no operation truncates silently.  The
 ideal results of ``intersect``, ``colon_monomial`` and ``saturate`` are built
 by ``_ideal_from_exps``, which shares the constructor's minimalization and
-skips its checks.
+skips its checks.  ``add_monomial`` (I + (m), as the filtration builder
+places its witnesses) needs no minimalization: it keeps m and the generators m
+does not divide, or returns I when m lies in it.  Both build their results
+through ``_trusted_ideal``.
 
 Saturations are memoized in one place, the bounded module-level
 ``lru_cache`` of ``_saturate_monomial``: the saturation of an ideal at a
@@ -29,9 +32,10 @@ or the keyword ``unit``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import add, le, sub
+from operator import add, attrgetter, le, sub
 
 from .errors import DimensionMismatchError, GuardExceededError, ParseError
 
@@ -292,7 +296,34 @@ class MonomialIdeal:
                 f"a monomial over {len(exps)} variables tested in a "
                 f"{self.nvars}-variable ideal"
             )
-        return any(all(map(le, g.exps, exps)) for g in self.gens)
+        for g in self.gens:
+            if all(map(le, g.exps, exps)):
+                return True
+        return False
+
+    def add_monomial(self, m: Monomial) -> "MonomialIdeal":
+        """self + (m), in one pass over the generators.
+
+        self itself when some generator divides m; otherwise m and the
+        generators that m does not divide, with m at its place in ascending
+        lexicographic order: the minimal generators the constructor would
+        keep, found without minimalizing them again.
+        """
+        exps = m.exps
+        if len(exps) != self.nvars:
+            raise DimensionMismatchError(
+                f"a monomial over {len(exps)} variables added to a "
+                f"{self.nvars}-variable ideal"
+            )
+        kept = []
+        for g in self.gens:
+            e = g.exps
+            if all(map(le, e, exps)):
+                return self
+            if not all(map(le, exps, e)):
+                kept.append(g)
+        kept.insert(bisect_left(kept, exps, key=attrgetter("exps")), m)
+        return _trusted_ideal(self.nvars, tuple(kept))
 
     def contains(self, other: "MonomialIdeal") -> bool:
         """Whether self contains other as a subideal."""
@@ -364,6 +395,18 @@ class MonomialIdeal:
         return "(" + ", ".join(self.gens_text()) + ")"
 
 
+def _trusted_ideal(nvars: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+    """The ideal with exactly these generators, without validation.
+
+    Only for a tuple that is already the ascending antichain of minimal
+    generators, of monomials over nvars variables.
+    """
+    ideal = object.__new__(MonomialIdeal)
+    ideal.__dict__["nvars"] = nvars
+    ideal.__dict__["gens"] = gens
+    return ideal
+
+
 def _ideal_from_exps(nvars: int, distinct) -> MonomialIdeal:
     """The ideal generated by a set of exponent tuples, without validation.
 
@@ -371,10 +414,7 @@ def _ideal_from_exps(nvars: int, distinct) -> MonomialIdeal:
     ideals (lcms, quotients, zeroed exponents): valid by construction.  Input
     from outside goes through ``MonomialIdeal(...)``.
     """
-    ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__["nvars"] = nvars
-    ideal.__dict__["gens"] = tuple(map(trusted_monomial, _minimal_exps(distinct)))
-    return ideal
+    return _trusted_ideal(nvars, tuple(map(trusted_monomial, _minimal_exps(distinct))))
 
 
 @lru_cache(maxsize=SATURATION_MEMO_SIZE)

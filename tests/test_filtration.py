@@ -22,10 +22,12 @@ from boreltype import (
     build_chain,
     exchange_closure_ideal,
     filtration_length_report,
+    generate_corpus,
     pretty_clean_filtration,
     verify_filtration,
 )
 from boreltype import filtration as filtration_module
+from boreltype import monomial as monomial_module
 from boreltype.chain import require_sequentially_cm
 from boreltype.errors import (
     InternalInconsistencyError,
@@ -454,29 +456,70 @@ class TestWitnessParity:
         assert self.matches_box_scan(M) is None
 
 
+def _builder_calls(monkeypatch, M, owner, name):
+    """The filtration's length and how often the builder calls owner.name,
+    with the verdict and chain cached first, so that only the builder's own
+    calls are counted."""
+    borel_verdict(M), build_chain(M)
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(owner, name, counted)
+        length = len(pretty_clean_filtration(M))
+    return length, len(calls)
+
+
 class TestStanleyWitnesses:
     def test_intersections_do_not_grow_with_length(self, monkeypatch):
         # on certified steps the witnesses come from the standard monomials,
-        # with no ideal intersection per witness; the verdict and chain are
-        # cached first, so only the builder's own intersections are counted
+        # with no ideal intersection per witness
         def build(a):
             M = cyclic(3, f"x1^{a}", f"x2^{a}", f"x3^{a}", "x1*x2*x3")
-            borel_verdict(M), build_chain(M)
-            calls = []
-            original = MonomialIdeal.intersect
-
-            def counted(self, other):
-                calls.append(1)
-                return original(self, other)
-
-            with monkeypatch.context() as patched:
-                patched.setattr(MonomialIdeal, "intersect", counted)
-                length = len(pretty_clean_filtration(M))
-            return length, len(calls)
+            return _builder_calls(monkeypatch, M, MonomialIdeal, "intersect")
 
         (short, few), (long, many) = build(3), build(6)
         assert (short, long) == (19, 91)
         assert few == many
+
+    def test_minimalizations_do_not_grow_with_length(self, monkeypatch):
+        # each witness is placed by MonomialIdeal.add_monomial, one pass over
+        # the current generators, not by rebuilding and minimalizing the
+        # whole ideal through the constructor
+        def build(a):
+            M = cyclic(3, f"x1^{a}", f"x2^{a}", f"x3^{a}")
+            return _builder_calls(monkeypatch, M, monomial_module, "_minimal_exps")
+
+        (short, few), (long, many) = build(4), build(6)
+        assert (short, long) == (64, 216)
+        assert few == many
+
+    def test_steps_match_the_validating_constructor(self):
+        # every step ideal is previous + (witness) as the constructor builds
+        # it, over each sequentially Cohen-Macaulay Borel-type module of the
+        # seeded corpora
+        checked = 0
+        for seed, generator, nvars in itertools.product(
+            range(1, 6), ("random", "borel"), (3, 4)
+        ):
+            for M in generate_corpus(seed, 100, generator, nvars, 4):
+                if M.is_zero() or not borel_verdict(M).is_borel:
+                    continue
+                try:
+                    f = pretty_clean_filtration(M)
+                except NotSequentiallyCMError:
+                    continue
+                previous = M.denominator
+                for step in f.steps:
+                    rebuilt = MonomialIdeal(nvars, previous.gens + (step.witness,))
+                    assert step.ideal.gens == rebuilt.gens, (M, step.witness)
+                    previous = step.ideal
+                checked += 1
+        assert checked == 1118
 
     def test_non_artinian_reduction_of_a_certified_step_is_refused(self, monkeypatch):
         # a chain whose only step claims r = n on S/(x1): the step passes the

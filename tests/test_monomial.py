@@ -249,10 +249,10 @@ class TestIdealArithmetic:
 
 
 class TestTrustedKernel:
-    """intersect, saturate and colon_monomial build their results without the
-    constructor's checks; they must equal the raw minimalization of the raw
-    generators, and the saturation memo must return what a fresh computation
-    does."""
+    """intersect, saturate, colon_monomial and add_monomial build their
+    results without the constructor's checks; they must equal the raw
+    minimalization of the raw generators, and the saturation memo must return
+    what a fresh computation does."""
 
     @given(gens_a=raw_ideals(3), gens_b=raw_ideals(3, max_gens=3), g=exponent_tuples(3))
     @settings(deadline=None, max_examples=150)
@@ -314,6 +314,28 @@ class TestTrustedKernel:
         assert ideal.saturate(other) == cached
         assert gens_of(cached) == raw_saturation(gens, sat)
 
+    @given(
+        gens=st.one_of(raw_ideals(3), st.just([]), st.just([(0, 0, 0)])),
+        m=exponent_tuples(3, 5),
+        inside=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_add_monomial_is_the_constructor_sum(self, gens, m, inside):
+        # over drawn ideals, the zero ideal and the unit ideal; a multiple of
+        # the first generator puts m inside the ideal, which is returned as is
+        ideal = ideal_of(3, gens)
+        if inside and gens:
+            m = tuple(a + b for a, b in zip(gens[0], m))
+        monomial = Monomial(m)
+        summed = ideal.add_monomial(monomial)
+        rebuilt = MonomialIdeal(3, ideal.gens + (monomial,))
+        assert summed.gens == rebuilt.gens
+        assert hash(summed) == hash(rebuilt)
+        assert gens_of(summed) == raw_minimalize(list(gens) + [m])
+        assert summed.nvars == 3
+        if raw_member(m, gens):
+            assert summed is ideal
+
     def test_mixed_variable_counts_raise(self):
         two, three = I(2, "x1*x2"), I(3, "x1", "x3^2")
         for ideal, m in ((two, Monomial((1, 0, 0))), (three, Monomial((1, 0)))):
@@ -321,9 +343,15 @@ class TestTrustedKernel:
                 ideal.member(m)
             with pytest.raises(DimensionMismatchError):
                 ideal.colon_monomial(m)
+            with pytest.raises(DimensionMismatchError):
+                ideal.add_monomial(m)
         # also where no generator would be compared
         with pytest.raises(DimensionMismatchError):
             MonomialIdeal.zero(2).member(Monomial((0, 0, 1)))
+        with pytest.raises(DimensionMismatchError):
+            MonomialIdeal.zero(2).add_monomial(Monomial((0, 0, 1)))
+        with pytest.raises(DimensionMismatchError):
+            MonomialIdeal.unit(3).add_monomial(Monomial((1, 0)))
         for a, b in ((two, three), (three, two)):
             with pytest.raises(DimensionMismatchError):
                 a.intersect(b)
