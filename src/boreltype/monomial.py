@@ -17,7 +17,8 @@ by ``_ideal_from_exps``, which shares the constructor's minimalization and
 skips its checks.  ``add_monomial`` (I + (m), as the filtration builder
 places its witnesses) needs no minimalization: it keeps m and the generators m
 does not divide, or returns I when m lies in it.  Both build their results
-through ``_trusted_ideal``.
+through ``_trusted_ideal``, as do ``principal`` and ``prefix`` after their
+checks: one monomial, or distinct variables, are minimal by construction.
 
 Saturations are memoized in one place, the bounded module-level
 ``lru_cache`` of ``_saturate_monomial``: the saturation of an ideal at a
@@ -259,7 +260,9 @@ class MonomialIdeal:
 
     @staticmethod
     def principal(m: Monomial) -> "MonomialIdeal":
-        return MonomialIdeal(m.nvars, (m,))
+        if not isinstance(m, Monomial):
+            raise TypeError(f"generator {m!r} is not a Monomial")
+        return _trusted_ideal(m.nvars, (m,))
 
     @staticmethod
     def variables(nvars: int, indices) -> "MonomialIdeal":
@@ -271,7 +274,11 @@ class MonomialIdeal:
         """The initial-segment prime (x1, ..., xr); zero ideal for r = 0."""
         if not 0 <= r <= nvars:
             raise ValueError(f"prefix length {r} outside 0..{nvars}")
-        return MonomialIdeal.variables(nvars, range(1, r + 1))
+        if nvars < 1:
+            raise ValueError("need at least one variable")
+        # x_r < ... < x_1 lexicographically, and no variable divides another
+        gens = tuple(Monomial.variable(i, nvars) for i in range(r, 0, -1))
+        return _trusted_ideal(nvars, gens)
 
     @staticmethod
     def from_text_lines(nvars: int, lines) -> "MonomialIdeal":

@@ -263,18 +263,74 @@ class TestBettiTable:
 
     @pytest.mark.parametrize("field", ["q", "f2"])
     def test_every_homology_group_is_computed(self, monkeypatch, field):
-        # every boundary map with nonempty sources and targets, at every box
-        # point, gets its own rank: 20 matrices with 31 rows between them
-        rows_seen = []
-        original = betti_module._RANK[field]
+        # the homology of every distinct complex of the box is computed by
+        # elimination exactly once: every boundary map with nonempty sources
+        # and targets gets its own rank; a second table over the same box
+        # reads every complex back and ranks nothing
+        ideal = I(3, "x1^2*x3", "x2^3", "x1*x2*x3^2")
+        gens = gens_of(ideal)
+        box = itertools.product(*[range(b + 1) for b in ideal.max_exponents()])
+        distinct = {frozenset(raw_upper_koszul_faces(gens, a)) for a in box}
+        expected_maps = 0
+        for faces in distinct:
+            sizes = {len(f) for f in faces}
+            expected_maps += sum(1 for k in sizes if k >= 1 and k - 1 in sizes)
+
+        complexes, ranked = [], []
+        original_homology = betti_module._homology_ranks
+        original_rank = betti_module._RANK[field]
+
+        def recording(masks, rank_of):
+            complexes.append(
+                frozenset(
+                    frozenset(v for v in range(1, 4) if mask >> (v - 1) & 1)
+                    for mask in masks
+                )
+            )
+            return original_homology(masks, rank_of)
 
         def counting(rows):
-            rows_seen.append(len(rows))
-            return original(rows)
+            ranked.append(rows)
+            return original_rank(rows)
 
+        monkeypatch.setattr(betti_module, "_homology_ranks", recording)
         monkeypatch.setitem(betti_module._RANK, field, counting)
-        betti_table.__wrapped__(I(3, "x1^2*x3", "x2^3", "x1*x2*x3^2"), field=field)
-        assert (len(rows_seen), sum(rows_seen)) == (20, 31)
+        betti_module._koszul_homology.cache_clear()
+        first = betti_table.__wrapped__(ideal, field=field)
+        assert len(complexes) == len(set(complexes))
+        assert set(complexes) == distinct
+        assert len(ranked) == expected_maps
+        complexes.clear()
+        ranked.clear()
+        second = betti_table.__wrapped__(ideal, field=field)
+        assert (complexes, ranked) == ([], [])
+        assert second.entries == first.entries
+
+    def test_the_field_is_part_of_the_homology_key(self):
+        # the Stanley-Reisner ideal of the 6-vertex RP^2 (its ten non-faces
+        # are triangles) has 2-torsion in its Koszul homology, so its tables
+        # over q and f2 differ; computing one field right after the other
+        # must not read the first field's ranks back
+        faces = [
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+            (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+        ]
+        nonfaces = [
+            t for t in itertools.combinations(range(1, 7), 3)
+            if not any(set(t) == set(f) for f in faces)
+        ]
+        ideal = I(6, *("*".join(f"x{v}" for v in t) for t in nonfaces))
+        assert len(ideal.gens) == 10 and ideal.max_exponents() == (1,) * 6
+        expected = {
+            "q": raw_betti_entries(gens_of(ideal), 6, raw_rank_fraction),
+            "f2": raw_betti_entries(gens_of(ideal), 6, _rank_mod2),
+        }
+        assert expected["q"] != expected["f2"]
+        for order in (("q", "f2"), ("f2", "q")):
+            betti_module._koszul_homology.cache_clear()
+            for field in order:
+                table = betti_table.__wrapped__(ideal, field=field)
+                assert list(table.entries) == expected[field], (order, field)
 
     @given(
         gens=st.integers(1, 4).flatmap(

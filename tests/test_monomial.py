@@ -269,6 +269,32 @@ class TestTrustedKernel:
             assert result == rebuilt and hash(result) == hash(rebuilt)
             assert result.nvars == 3
 
+    def test_principal_and_prefix_ideals_match_the_constructor(self):
+        # principal and prefix skip the constructor; their generator tuples,
+        # equality and hashes must be the validating constructor's
+        for n in range(1, 7):
+            for i in range(1, n + 1):
+                x = Monomial.variable(i, n)
+                built, validated = MonomialIdeal.principal(x), MonomialIdeal(n, (x,))
+                assert (built.nvars, built.gens) == (validated.nvars, validated.gens)
+                assert hash(built) == hash(validated)
+            for r in range(n + 1):
+                built = MonomialIdeal.prefix(n, r)
+                validated = MonomialIdeal(
+                    n, tuple(Monomial.variable(i, n) for i in range(1, r + 1))
+                )
+                assert (built.nvars, built.gens) == (validated.nvars, validated.gens)
+                assert hash(built) == hash(validated)
+
+    def test_principal_and_prefix_ideals_keep_their_refusals(self):
+        with pytest.raises(TypeError, match="^generator \\(1, 0\\) is not a Monomial$"):
+            MonomialIdeal.principal((1, 0))
+        for n, r in ((3, 4), (3, -1), (0, 1), (-1, 0)):
+            with pytest.raises(ValueError, match=f"^prefix length {r} outside 0..{n}$"):
+                MonomialIdeal.prefix(n, r)
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            MonomialIdeal.prefix(0, 0)
+
     def test_unit_and_zero_operands(self):
         ideal = I(3, "x1^2*x3", "x2^3")
         unit, zero = MonomialIdeal.unit(3), MonomialIdeal.zero(3)
