@@ -7,9 +7,12 @@ complex K^a: the variable subsets F one can divide out of x^a while staying
 in the ideal (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
 Since x^(a-F) lies in the ideal exactly when some minimal generator g divides
 x^a and F lies in the facet {i : g_i < a_i}, the faces are the subsets of
-those facets, read off the generators as bitmasks.  The faces stay bitmasks
-from the facet test to the boundary matrices; a SimplicialComplex is built
-only by upper_koszul_complex, for callers outside the oracle's loop.  Many box
+those facets, read off the generators' exponent tuples as bitmasks by one
+walk of the box, coordinate by coordinate, that carries each generator's
+partial facet and drops the generator at its first coordinate above the
+point.  The faces stay bitmasks from the facet test to the boundary matrices;
+a SimplicialComplex is built only by upper_koszul_complex, which runs the same
+walk over a one-point box, for callers outside the oracle's loop.  Many box
 points span the same complex, so the homology of each distinct complex is
 memoized in one bounded module-level lru_cache, keyed on the exact set of its
 maximal facets and the field.  Homology ranks are exact: the rank over the
@@ -30,7 +33,6 @@ theory.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,22 +88,41 @@ class SimplicialComplex:
         return max(len(f) for f in self.faces) - 1
 
 
-def _koszul_face_masks(gen_exps, a) -> tuple[int, ...]:
-    """The maximal faces of K^a as ascending bitmasks (bit i - 1 for variable
-    i), given the generators' exponent tuples: the facets {i : g_i < a_i} of
-    the generators g dividing x^a, less those inside another facet.  The faces
-    of K^a are their subsets, so the tuple names the complex exactly."""
-    facets = set()
-    for g in gen_exps:
-        mask, bit = 0, 1
-        for g_i, a_i in zip(g, a):
-            if g_i > a_i:
-                break
-            if g_i < a_i:
-                mask |= bit
-            bit <<= 1
+def _koszul_walk(gen_exps, ranges):
+    """Yield each point a of the box spanned by the coordinate ranges, in
+    itertools.product order, with the maximal faces of K^a as ascending
+    bitmasks (bit i - 1 for variable i); the faces of K^a are their subsets,
+    so the tuple names the complex exactly.
+
+    The faces are the subsets of the facets {i : g_i < a_i} of the generators
+    g dividing x^a.  The walk fixes one coordinate at a time and carries each
+    generator with its facet mask on the coordinates fixed so far, dropping it
+    at the first coordinate where it is above the point.  So every generator
+    is compared on every coordinate it reaches, and a prefix shared by many
+    points is compared once for all of them.
+    """
+    last = len(ranges) - 1
+
+    def walk(i, prefix, alive):
+        bit = 1 << i
+        if i < last:
+            for v in ranges[i]:
+                here = [
+                    (g, mask | bit if g[i] < v else mask) for g, mask in alive if g[i] <= v
+                ]
+                yield from walk(i + 1, prefix + (v,), here)
         else:
-            facets.add(mask)
+            for v in ranges[i]:
+                facets = {
+                    mask | bit if g[i] < v else mask for g, mask in alive if g[i] <= v
+                }
+                yield prefix + (v,), _maximal_masks(facets)
+
+    yield from walk(0, (), [(g, 0) for g in gen_exps])
+
+
+def _maximal_masks(facets) -> tuple[int, ...]:
+    """The inclusion-maximal ones among a set of bitmasks, ascending."""
     if len(facets) < 2:
         return tuple(facets)
     maximal = []
@@ -134,13 +155,14 @@ def upper_koszul_complex(ideal: MonomialIdeal, multidegree) -> SimplicialComplex
     x^(a-F) lies in I exactly when some minimal generator g divides it, that
     is when g divides x^a and F lies inside {i : g_i < a_i}, the facet of g at
     a.  So the faces are the subsets of these facets.  They are enumerated as
-    bitmasks by the same code the Betti oracle runs, and converted to vertex
-    sets once.
+    bitmasks by the Betti oracle's walk, over the one-point box {a}, and
+    converted to vertex sets once.
     """
     a = Monomial(tuple(multidegree))
     if a.nvars != ideal.nvars:
         raise ValueError("multidegree length does not match the variable count")
-    masks = _faces_below(_koszul_face_masks([g.exps for g in ideal.gens], a.exps))
+    [(_, facets)] = _koszul_walk(ideal.exps, [(e,) for e in a.exps])
+    masks = _faces_below(facets)
     verts = a.support()
     faces = frozenset(
         frozenset(v for v in verts if mask >> (v - 1) & 1) for mask in masks
@@ -341,7 +363,8 @@ def betti_table(
 
     Every multidegree with exponents at most the componentwise max of the
     generators is visited and its maximal Koszul faces read off every
-    generator; nothing is pruned, so the support restriction to joins of
+    generator by one coordinate-by-coordinate walk of the box
+    (_koszul_walk); nothing is pruned, so the support restriction to joins of
     generators is a testable consequence, not an assumption.  The homology of
     each distinct complex is computed once by elimination, keyed on its exact
     maximal facets and the field, and read back at every point that spans it.
@@ -351,10 +374,8 @@ def betti_table(
     bounds = ideal.max_exponents()
     ensure_box(bounds, guard, "Betti oracle")
     _rank_function(field)  # an unknown field is refused before the walk
-    gen_exps = [g.exps for g in ideal.gens]
     entries = [(0, (0,) * ideal.nvars, 1)]
-    for exps in itertools.product(*[range(b + 1) for b in bounds]):
-        facets = _koszul_face_masks(gen_exps, exps)
+    for exps, facets in _koszul_walk(ideal.exps, [range(b + 1) for b in bounds]):
         for hdim, rank in _koszul_homology(facets, field):
             entries.append((hdim + 2, exps, rank))
     entries.sort()

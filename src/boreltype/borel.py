@@ -15,11 +15,17 @@ from functools import lru_cache
 
 from .decomposition import MonomialPrime, associated_primes, prime_sort_key
 from .errors import InternalInconsistencyError, NotBorelTypeError, ZeroModuleError
-from .monomial import Monomial, MonomialIdeal, monomials_of_degree
+from .monomial import Monomial, MonomialIdeal, monomials_of_degree, trusted_monomial
 from .subquotient import Subquotient
 
 # largest degree of the sample monomials u in torsion_identity_report
 TORSION_SAMPLE_DEGREE = 2
+
+# Verdicts kept by borel_verdict's memo.  Its hits come from within one
+# module's analysis, which asks for the same verdict about seven times (392
+# calls for 56 modules in a check-stable round); unbounded, it kept every
+# module of a run, and peak memory grew with the number of modules.
+VERDICT_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class BorelVerdict:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_MEMO_SIZE)
 def borel_verdict(module: Subquotient) -> BorelVerdict:
     """Decide Borel type by all three criteria; raise on any disagreement."""
     n = module.nvars
@@ -147,12 +153,15 @@ def is_strongly_stable_ideal(ideal: MonomialIdeal) -> bool:
     """Closure of the generators under the exchange moves x_j * u / x_i, j < i."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("strong stability is undefined for the zero and unit ideals")
-    n = ideal.nvars
-    for u in ideal.gens:
-        for i in u.support():
-            for j in range(1, i):
-                moved = u.div(Monomial.variable(i, n)).mul(Monomial.variable(j, n))
-                if not ideal.member(moved):
+    for u in ideal.exps:
+        for i, e in enumerate(u):
+            if not e:
+                continue
+            for j in range(i):
+                moved = list(u)
+                moved[i] -= 1
+                moved[j] += 1
+                if not ideal.member(trusted_monomial(tuple(moved))):
                     return False
     return True
 

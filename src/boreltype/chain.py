@@ -29,6 +29,13 @@ from .errors import (
 from .monomial import Monomial, MonomialIdeal
 from .subquotient import Subquotient
 
+# Entries kept by each of the chain memos (build_chain, reduced_hilbert,
+# regular_sequence_holds, sequential_cm_report).  Their hits come from within
+# one module's analysis, where check and the chain readers ask again for the
+# same chain and its reports; unbounded, they kept every module of a run, and
+# peak memory grew with the number of modules.
+CHAIN_MEMO_SIZE = 32
+
 
 @dataclass(frozen=True)
 class ChainStep:
@@ -57,7 +64,7 @@ def _variable_torsion(module: Subquotient, i: int) -> MonomialIdeal:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def build_chain(module: Subquotient) -> SequentialChain:
     """Construct the sequential chain, guarding against non-Borel inputs.
 
@@ -135,7 +142,7 @@ def chain_quotients(chain: SequentialChain) -> list[tuple[Subquotient, Subquotie
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def reduced_hilbert(
     chain: SequentialChain, ceiling=None
 ) -> tuple[tuple[int, ...], ...]:
@@ -152,7 +159,7 @@ def reduced_hilbert(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:
     """Whether x_{n_step+1}, ..., x_n is a regular sequence on the step quotient.
 
@@ -179,7 +186,7 @@ def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def sequential_cm_report(chain: SequentialChain) -> dict:
     """Dimensions of the chain quotients and the regular-sequence verdicts.
 

@@ -11,7 +11,7 @@ Guard-limited checks report "skipped" and do not affect the exit code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .betti import DEFAULT_ORACLE_GUARD, betti_table, oracle_invariants
 from .borel import (
@@ -57,6 +57,16 @@ class CheckOptions:
     oracle_guard: int = DEFAULT_ORACLE_GUARD
     field: str = "q"
 
+    def to_json(self) -> dict:
+        """The options as a report records them, in field order; a shallow
+        dict, where asdict would deep-copy every value on each run."""
+        return {
+            "e_max": self.e_max,
+            "ceiling": self.ceiling,
+            "oracle_guard": self.oracle_guard,
+            "field": self.field,
+        }
+
 
 def module_json(module: Subquotient) -> dict:
     return {
@@ -71,7 +81,7 @@ def run_check(module: Subquotient, options: CheckOptions = CheckOptions()):
     checks: list[dict] = []
     report = {
         "input": module_json(module),
-        "options": asdict(options),
+        "options": options.to_json(),
         "checks": checks,
     }
 

@@ -25,7 +25,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 
 from .betti import DEFAULT_ORACLE_GUARD, BettiTable, betti_table
 from .borel import borel_verdict, is_strongly_stable_module
@@ -321,7 +320,7 @@ def _dispatch(args) -> tuple[dict, int]:
             report, code = _HANDLERS[args.command](module, options)
         report["input_path"] = args.file
     report["command"] = args.command
-    report["options"] = asdict(options)
+    report["options"] = options.to_json()
     return report, code
 
 

@@ -20,6 +20,13 @@ from .errors import ZeroModuleError
 from .monomial import Monomial, MonomialIdeal
 from .subquotient import Subquotient
 
+# Entries kept by each of the decomposition memos (irreducible_decomposition,
+# primary_components, associated_primes).  Their hits come from within one
+# module's analysis, which meets about three distinct ideals or modules for
+# each in a check-stable round; unbounded, they kept every one of a run, about
+# 0.1 MB of irreducible components by the end of a round.
+DECOMPOSITION_MEMO_SIZE = 32
+
 
 @dataclass(frozen=True, order=True)
 class MonomialPrime:
@@ -97,7 +104,7 @@ def _require_proper_nonzero(ideal: MonomialIdeal, what: str) -> None:
         raise ValueError(f"{what} is undefined for the unit ideal")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The irredundant irreducible decomposition, splitting on the generators
     by degree; a component is its bound vector, 0 marking an unbounded
@@ -107,7 +114,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     _require_proper_nonzero(ideal, "irreducible decomposition")
     n = ideal.nvars
     components = [(0,) * n]
-    for m in sorted((g.exps for g in ideal.gens), key=sum):
+    for m in sorted(ideal.exps, key=sum):
         kept, split = [], set()
         for b in components:
             if any(0 < c <= e for c, e in zip(b, m)):
@@ -127,7 +134,7 @@ def _contains(b, c) -> bool:
     return all(0 < p <= q for p, q in zip(b, c) if q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)
 def primary_components(
     ideal: MonomialIdeal,
 ) -> tuple[tuple[MonomialPrime, MonomialIdeal], ...]:
@@ -154,7 +161,7 @@ def cyclic_associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     return tuple(sorted(primes, key=prime_sort_key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)
 def associated_primes(module: Subquotient) -> tuple[MonomialPrime, ...]:
     """Ass(I/J) = the union of Ass(S/(J : g)) over the minimal generators g
     of I outside J.

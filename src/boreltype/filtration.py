@@ -149,7 +149,7 @@ def _stanley_witnesses(quotient: Subquotient, r: int) -> list[Monomial]:
                 e = lower
         return e
 
-    frontier = [g.exps for g in target.gens if not lowered.member(g)]
+    frontier = [e for e in target.exps if not lowered.member(trusted_monomial(e))]
     waiting = dict.fromkeys(frontier, 0)  # W, with each one's unplaced owners
     dependents = defaultdict(list)
     while frontier:
@@ -230,8 +230,7 @@ def verify_filtration(filtration: PrimeFiltration) -> dict:
         colon_in_prime = step.prime.nvars == n
         bumped = set()  # the i with x_i a generator of (previous : w)
         extension = [w]
-        for g in previous.gens:
-            e = g.exps
+        for e in previous.exps:
             above = [j for j in range(n) if e[j] > w[j]]
             if not above:
                 inside = True
@@ -241,8 +240,8 @@ def verify_filtration(filtration: PrimeFiltration) -> dict:
                 bumped.add(above[0])
             if not all(map(le, w, e)):
                 extension.append(e)
-        expected = [g.exps for g in previous.gens] if inside else sorted(extension)
-        if [g.exps for g in step.ideal.gens] != expected:
+        expected = previous.exps if inside else tuple(sorted(extension))
+        if step.ideal.exps != expected:
             violations.append(f"step {k}: ideal is not the previous one plus witness")
         if inside:
             violations.append(f"step {k}: witness already lies in the previous ideal")

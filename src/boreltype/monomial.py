@@ -1,10 +1,14 @@
 """Exact arithmetic on monomials and monomial ideals.
 
 Monomials are exponent vectors over a fixed ambient ring K[x1..xn].  An ideal
-is stored as its unique antichain of minimal generators in ascending
-lexicographic order, so equal ideals compare, hash and serialize identically.
-Every value is immutable and every operation is a pure function, which makes
-all of them safe to share between threads.
+is stored as its variable count and the exponent tuples of its unique
+antichain of minimal generators, in ascending lexicographic order, so equal
+ideals compare, hash and serialize identically, and comparing or hashing one
+is tuple work with no Python call per generator.  The kernel reads and builds
+those tuples directly; ``MonomialIdeal.gens`` wraps them in ``Monomial``
+values only for callers that ask.  Every value is immutable and every
+operation is a pure function, which makes all of them safe to share between
+threads.
 
 Exponents are validated once, at the public boundaries: ``Monomial(...)``,
 ``monomial_from_text`` and the type and variable-count checks of
@@ -12,13 +16,14 @@ Exponents are validated once, at the public boundaries: ``Monomial(...)``,
 lcms, saturations, box walks) are built from exponent tuples that are valid by
 construction and skip that validation; only the variable counts of the
 operands are still compared, so that no operation truncates silently.  The
-ideal results of ``intersect``, ``colon_monomial`` and ``saturate`` are built
-by ``_ideal_from_exps``, which shares the constructor's minimalization and
-skips its checks.  ``add_monomial`` (I + (m), as the filtration builder
-places its witnesses) needs no minimalization: it keeps m and the generators m
-does not divide, or returns I when m lies in it.  Both build their results
-through ``_trusted_ideal``, as do ``principal`` and ``prefix`` after their
-checks: one monomial, or distinct variables, are minimal by construction.
+ideal results of ``add``, ``multiply``, ``intersect``, ``colon_monomial`` and
+``saturate`` are built by ``_ideal_from_exps``, which shares the
+constructor's minimalization and skips its checks.  ``add_monomial`` (I + (m),
+as the filtration builder places its witnesses) needs no minimalization: it
+keeps m and the generators m does not divide, or returns I when m lies in it.
+Both build their results through ``_trusted_ideal``, as do ``principal`` and
+``prefix`` after their checks: one monomial, or distinct variables, are
+minimal by construction.
 
 Saturations are memoized in one place, the bounded module-level
 ``lru_cache`` of ``_saturate_monomial``: the saturation of an ideal at a
@@ -33,10 +38,10 @@ or the keyword ``unit``.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import add, attrgetter, le, sub
+from operator import add, le, sub
 
 from .errors import DimensionMismatchError, GuardExceededError, ParseError
 
@@ -168,7 +173,7 @@ def _support_mask(exps: tuple[int, ...]) -> int:
     return mask
 
 
-def _minimal_exps(distinct) -> list[tuple[int, ...]]:
+def _minimal_exps(distinct) -> tuple[tuple[int, ...], ...]:
     """The divisibility-minimal ones among distinct exponent tuples, in
     ascending lexicographic order.
 
@@ -191,7 +196,7 @@ def _minimal_exps(distinct) -> list[tuple[int, ...]]:
                 break
         else:
             kept.append((exps, mask))
-    return sorted(exps for exps, _ in kept)
+    return tuple(sorted(exps for exps, _ in kept))
 
 
 _FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?\Z")
@@ -219,36 +224,54 @@ def monomial_from_text(text: str, nvars: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MonomialIdeal:
     """A monomial ideal, normalized to its minimal generators.
 
-    The constructor accepts any iterable of monomials and keeps the antichain
-    of divisibility-minimal ones, sorted lexicographically.  The zero ideal has
-    no generators; the unit ideal is generated by the unit monomial.  The
-    constructor is the validating boundary; ideals computed from other ideals
-    are built by ``_ideal_from_exps``, which shares its minimalization.
+    Stored as ``nvars`` and ``exps``, the ascending lexicographic tuple of the
+    minimal generators' exponent tuples, so equality and hashing are plain
+    tuple work.  ``gens`` is a read-only view that builds those generators as
+    ``Monomial`` values on each read.  The zero ideal has no generators; the
+    unit ideal is generated by the unit monomial.
+
+    ``MonomialIdeal(nvars, gens)`` is the validating boundary: it accepts any
+    iterable of monomials and keeps the antichain of divisibility-minimal
+    ones.  Ideals computed from other ideals are built by
+    ``_ideal_from_exps``, which shares its minimalization.
     """
 
     nvars: int
-    gens: tuple[Monomial, ...] = ()
+    exps: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        nvars = int(self.nvars)
+    def __init__(self, nvars: int, gens=()):
+        self.__post_init__(nvars, gens)
+
+    def __post_init__(self, nvars, gens) -> None:
+        """The validating build, run once by each ``MonomialIdeal(...)``.  It
+        keeps the dataclass hook's name, under which bench/tracing.py counts
+        validated builds."""
+        nvars = int(nvars)
         if nvars < 1:
             raise ValueError("need at least one variable")
-        by_exps = {}
-        for g in self.gens:
+        distinct = set()
+        for g in gens:
             if not isinstance(g, Monomial):
                 raise TypeError(f"generator {g!r} is not a Monomial")
             if len(g.exps) != nvars:
                 raise DimensionMismatchError(
                     f"generator over {g.nvars} variables in a {nvars}-variable ideal"
                 )
-            by_exps[g.exps] = g
-        object.__setattr__(self, "nvars", nvars)
-        minimal = tuple(by_exps[exps] for exps in _minimal_exps(by_exps))
-        object.__setattr__(self, "gens", minimal)
+            distinct.add(g.exps)
+        _set_nvars(self, nvars)
+        _set_exps(self, _minimal_exps(distinct))
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, in ascending order.  Built on
+        each read and not kept, so ideals that share exponent tuples (as
+        ``add_monomial``'s results share their predecessor's) hold no
+        second copy of them."""
+        return tuple(map(trusted_monomial, self.exps))
 
     @staticmethod
     def zero(nvars: int) -> "MonomialIdeal":
@@ -262,7 +285,7 @@ class MonomialIdeal:
     def principal(m: Monomial) -> "MonomialIdeal":
         if not isinstance(m, Monomial):
             raise TypeError(f"generator {m!r} is not a Monomial")
-        return _trusted_ideal(m.nvars, (m,))
+        return _trusted_ideal(m.nvars, (m.exps,))
 
     @staticmethod
     def variables(nvars: int, indices) -> "MonomialIdeal":
@@ -277,18 +300,19 @@ class MonomialIdeal:
         if nvars < 1:
             raise ValueError("need at least one variable")
         # x_r < ... < x_1 lexicographically, and no variable divides another
-        gens = tuple(Monomial.variable(i, nvars) for i in range(r, 0, -1))
-        return _trusted_ideal(nvars, gens)
+        exps = tuple(Monomial.variable(i, nvars).exps for i in range(r, 0, -1))
+        return _trusted_ideal(nvars, exps)
 
     @staticmethod
     def from_text_lines(nvars: int, lines) -> "MonomialIdeal":
         return MonomialIdeal(nvars, tuple(monomial_from_text(t, nvars) for t in lines))
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exps
 
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit()
+        exps = self.exps
+        return len(exps) == 1 and not any(exps[0])
 
     def _check(self, other: "MonomialIdeal") -> None:
         if self.nvars != other.nvars:
@@ -303,8 +327,8 @@ class MonomialIdeal:
                 f"a monomial over {len(exps)} variables tested in a "
                 f"{self.nvars}-variable ideal"
             )
-        for g in self.gens:
-            if all(map(le, g.exps, exps)):
+        for e in self.exps:
+            if all(map(le, e, exps)):
                 return True
         return False
 
@@ -323,23 +347,29 @@ class MonomialIdeal:
                 f"{self.nvars}-variable ideal"
             )
         kept = []
-        for g in self.gens:
-            e = g.exps
+        for e in self.exps:
             if all(map(le, e, exps)):
                 return self
             if not all(map(le, exps, e)):
-                kept.append(g)
-        kept.insert(bisect_left(kept, exps, key=attrgetter("exps")), m)
+                kept.append(e)
+        insort(kept, exps)
         return _trusted_ideal(self.nvars, tuple(kept))
 
     def contains(self, other: "MonomialIdeal") -> bool:
         """Whether self contains other as a subideal."""
         self._check(other)
-        return all(self.member(g) for g in other.gens)
+        gens = self.exps
+        for b in other.exps:
+            for e in gens:
+                if all(map(le, e, b)):
+                    break
+            else:
+                return False
+        return True
 
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(self.nvars, self.gens + other.gens)
+        return _ideal_from_exps(self.nvars, {*self.exps, *other.exps})
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Generated by the lcms of the pairs of generators; the unit ideal
@@ -351,13 +381,15 @@ class MonomialIdeal:
             return self
         return _ideal_from_exps(
             self.nvars,
-            {tuple(map(max, a.exps, b.exps)) for a in self.gens for b in other.gens},
+            {tuple(map(max, a, b)) for a in self.exps for b in other.exps},
         )
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        prods = tuple(a.mul(b) for a in self.gens for b in other.gens)
-        return MonomialIdeal(self.nvars, prods)
+        return _ideal_from_exps(
+            self.nvars,
+            {tuple(map(add, a, b)) for a in self.exps for b in other.exps},
+        )
 
     def colon_monomial(self, g: Monomial) -> "MonomialIdeal":
         """(self : g) = (lcm(m, g)/g for each minimal generator m)."""
@@ -369,7 +401,7 @@ class MonomialIdeal:
             )
         return _ideal_from_exps(
             self.nvars,
-            {tuple(e - f if e > f else 0 for e, f in zip(m.exps, b)) for m in self.gens},
+            {tuple(e - f if e > f else 0 for e, f in zip(m, b)) for m in self.exps},
         )
 
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -378,20 +410,20 @@ class MonomialIdeal:
         if other.is_zero():
             raise ValueError("saturation by the zero ideal is undefined")
         self._check(other)
-        parts = [_saturate_monomial(self, u.support()) for u in other.gens]
+        parts = [
+            _saturate_monomial(self, tuple(i for i, e in enumerate(u, 1) if e))
+            for u in other.exps
+        ]
         return reduce(MonomialIdeal.intersect, parts)
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max of generator exponents; all zero for the zero ideal."""
-        bounds = [0] * self.nvars
-        for g in self.gens:
-            for i, e in enumerate(g.exps):
-                if e > bounds[i]:
-                    bounds[i] = e
-        return tuple(bounds)
+        if not self.exps:
+            return (0,) * self.nvars
+        return tuple(map(max, zip(*self.exps)))
 
     def max_gen_degree(self) -> int:
-        return max((g.degree for g in self.gens), default=0)
+        return max(map(sum, self.exps), default=0)
 
     def gens_text(self) -> list[str]:
         return [str(g) for g in self.gens]
@@ -402,15 +434,21 @@ class MonomialIdeal:
         return "(" + ", ".join(self.gens_text()) + ")"
 
 
-def _trusted_ideal(nvars: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
-    """The ideal with exactly these generators, without validation.
+# The slots' own setters: the validating build and _trusted_ideal write the
+# fields through them, past the frozen __setattr__.
+_set_nvars = MonomialIdeal.nvars.__set__
+_set_exps = MonomialIdeal.exps.__set__
+
+
+def _trusted_ideal(nvars: int, exps: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
+    """The ideal with exactly these generator exponents, without validation.
 
     Only for a tuple that is already the ascending antichain of minimal
-    generators, of monomials over nvars variables.
+    generators, each of length nvars.
     """
     ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__["nvars"] = nvars
-    ideal.__dict__["gens"] = gens
+    _set_nvars(ideal, nvars)
+    _set_exps(ideal, exps)
     return ideal
 
 
@@ -418,10 +456,10 @@ def _ideal_from_exps(nvars: int, distinct) -> MonomialIdeal:
     """The ideal generated by a set of exponent tuples, without validation.
 
     Only for tuples of length nvars computed from the generators of valid
-    ideals (lcms, quotients, zeroed exponents): valid by construction.  Input
-    from outside goes through ``MonomialIdeal(...)``.
+    ideals (sums, lcms, quotients, zeroed exponents): valid by construction.
+    Input from outside goes through ``MonomialIdeal(...)``.
     """
-    return _trusted_ideal(nvars, tuple(map(trusted_monomial, _minimal_exps(distinct))))
+    return _trusted_ideal(nvars, _minimal_exps(distinct))
 
 
 @lru_cache(maxsize=SATURATION_MEMO_SIZE)
@@ -435,14 +473,15 @@ def _saturate_monomial(ideal: MonomialIdeal, support: tuple[int, ...]) -> Monomi
     returned as it is.
     """
     cut = [i - 1 for i in support]
-    if not any(g.exps[i] for g in ideal.gens for i in cut):
+    gens = ideal.exps
+    if not any(e[i] for e in gens for i in cut):
         return ideal
     zeroed = set()
-    for g in ideal.gens:
-        exps = list(g.exps)
+    for e in gens:
+        cleared = list(e)
         for i in cut:
-            exps[i] = 0
-        zeroed.add(tuple(exps))
+            cleared[i] = 0
+        zeroed.add(tuple(cleared))
     return _ideal_from_exps(ideal.nvars, zeroed)
 
 

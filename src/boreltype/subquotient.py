@@ -10,9 +10,15 @@ machinery depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DimensionMismatchError, NotArtinianError, ZeroModuleError
-from .monomial import MonomialIdeal, monomials_of_degree, trusted_monomial
+from .monomial import (
+    MonomialIdeal,
+    _ideal_from_exps,
+    monomials_of_degree,
+    trusted_monomial,
+)
 
 
 @dataclass(frozen=True)
@@ -68,13 +74,16 @@ class Subquotient:
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         n = self.nvars
-        gens = list(self.denominator.gens)
-        for g in self.numerator.gens:
-            if g.degree >= degree:
-                gens.append(g)
+        gens = set(self.denominator.exps)
+        for g in self.numerator.exps:
+            d = sum(g)
+            if d >= degree:
+                gens.add(g)
             else:
-                gens.extend(g.mul(m) for m in monomials_of_degree(n, degree - g.degree))
-        return Subquotient(MonomialIdeal(n, tuple(gens)), self.denominator)
+                gens.update(
+                    tuple(map(add, g, m.exps)) for m in monomials_of_degree(n, degree - d)
+                )
+        return Subquotient(_ideal_from_exps(n, gens), self.denominator)
 
     def artinian_reduction(self, r: int) -> "Subquotient":
         """The quotient by the action of the trailing variables x_{r+1}..x_n."""
@@ -95,9 +104,9 @@ class Subquotient:
         den = self.denominator
         bounds = den.max_exponents()
         return all(
-            den.member(trusted_monomial(g.exps[:i] + (e + b,) + g.exps[i + 1 :]))
-            for g in self.numerator.gens
-            for i, (e, b) in enumerate(zip(g.exps, bounds))
+            den.member(trusted_monomial(g[:i] + (e + b,) + g[i + 1 :]))
+            for g in self.numerator.exps
+            for i, (e, b) in enumerate(zip(g, bounds))
         )
 
     def top_degree(self):

@@ -89,6 +89,38 @@ class TestUpperKoszul:
         assert k.faces == raw_upper_koszul_faces(gens, a)
 
 
+class TestKoszulWalk:
+    @given(
+        case=st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                raw_ideals(n, max_gens=5, max_exp=3),
+                st.lists(
+                    st.tuples(st.integers(0, 4), st.integers(1, 3)),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_walk_matches_the_definition_at_every_point(self, case):
+        # raw, not minimalized, generators; boxes that start above the origin
+        # and reach past the lcm; the walk must visit the points in product
+        # order and name at each exactly the faces of the definition
+        gens, spans = case
+        ranges = [range(lo, lo + size) for lo, size in spans]
+        walked = list(betti_module._koszul_walk(gens, ranges))
+        assert [a for a, _ in walked] == list(itertools.product(*ranges))
+        for a, facets in walked:
+            assert list(facets) == sorted(set(facets))
+            assert not any(f != g and f & g == f for f in facets for g in facets)
+            faces = {
+                frozenset(v for v in range(1, len(a) + 1) if mask >> (v - 1) & 1)
+                for mask in betti_module._faces_below(facets)
+            }
+            assert faces == raw_upper_koszul_faces(gens, a), (gens, a)
+
+
 class TestSimplicialComplex:
     def test_downward_closure_enforced(self):
         with pytest.raises(ValueError):
@@ -247,18 +279,22 @@ class TestBettiTable:
             betti_table(I(2, "x1^2", "x1*x2"), field="r")
 
     def test_every_multidegree_of_the_lcm_box_is_visited(self, monkeypatch):
-        # the oracle is never pruned: one Koszul face set per box point
-        visited = []
-        original = betti_module._koszul_face_masks
+        # the oracle is never pruned: the walk is handed every generator and
+        # the table reads one Koszul face set per box point
+        visited, handed = [], []
+        original = betti_module._koszul_walk
 
-        def recording(gen_exps, multidegree):
-            visited.append(tuple(multidegree))
-            return original(gen_exps, multidegree)
+        def recording(gen_exps, ranges):
+            handed.append(gen_exps)
+            for point, facets in original(gen_exps, ranges):
+                visited.append(point)
+                yield point, facets
 
-        monkeypatch.setattr(betti_module, "_koszul_face_masks", recording)
+        monkeypatch.setattr(betti_module, "_koszul_walk", recording)
         ideal = I(3, "x1^2*x3", "x2^3", "x1*x2*x3^2")
         betti_table.__wrapped__(ideal)
         box = itertools.product(*[range(b + 1) for b in ideal.max_exponents()])
+        assert handed == [ideal.exps]
         assert sorted(visited) == sorted(box)
 
     @pytest.mark.parametrize("field", ["q", "f2"])

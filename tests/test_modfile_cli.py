@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import subprocess
@@ -157,6 +158,13 @@ def run_cli(capsys, *argv):
 
 
 class TestCliCommands:
+    def test_reports_record_every_option_in_field_order(self):
+        options = checks.CheckOptions(e_max=7, ceiling=12, oracle_guard=99, field="f2")
+        expected = list(dataclasses.asdict(options).items())
+        assert list(options.to_json().items()) == expected
+        report, _ = checks.run_check(Subquotient.cyclic(I(2, "x1")), options)
+        assert list(report["options"].items()) == expected
+
     def test_analyze_golden(self, capsys, module_file):
         code, report, _ = run_cli(capsys, "analyze", module_file)
         assert code == 0

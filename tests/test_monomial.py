@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -249,25 +250,68 @@ class TestIdealArithmetic:
 
 
 class TestTrustedKernel:
-    """intersect, saturate, colon_monomial and add_monomial build their
-    results without the constructor's checks; they must equal the raw
-    minimalization of the raw generators, and the saturation memo must return
-    what a fresh computation does."""
+    """add, multiply, intersect, saturate, colon_monomial and add_monomial
+    build their results from exponent tuples without the constructor's checks;
+    they must equal the raw minimalization of the raw generators, member and
+    contains must agree with raw divisibility, and the saturation memo must
+    return what a fresh computation does."""
 
     @given(gens_a=raw_ideals(3), gens_b=raw_ideals(3, max_gens=3), g=exponent_tuples(3))
     @settings(deadline=None, max_examples=150)
     def test_results_are_raw_minimalizations(self, gens_a, gens_b, g):
         ideal, other = ideal_of(3, gens_a), ideal_of(3, gens_b)
+        summed = ideal.add(other)
+        product = ideal.multiply(other)
         meet = ideal.intersect(other)
         saturation = ideal.saturate(other)
         quotient = ideal.colon_monomial(Monomial(g))
+        placed = ideal.add_monomial(Monomial(g))
+        assert gens_of(summed) == raw_minimalize(gens_a + gens_b)
+        assert gens_of(product) == raw_minimalize(
+            [raw_mul(a, b) for a in gens_a for b in gens_b]
+        )
         assert gens_of(meet) == raw_meet(gens_a, gens_b)
         assert gens_of(saturation) == raw_saturation(gens_a, gens_b)
         assert gens_of(quotient) == raw_colon(gens_a, g)
-        for result in (meet, saturation, quotient):
+        assert gens_of(placed) == raw_minimalize(gens_a + [g])
+        assert ideal.member(Monomial(g)) == raw_member(g, gens_a)
+        assert ideal.contains(other) == all(raw_member(b, gens_a) for b in gens_b)
+        assert summed.contains(ideal) and summed.contains(other)
+        for result in (ideal, summed, product, meet, saturation, quotient, placed):
+            # the stored tuples are the generators' exponents, and a kernel
+            # result equals and hashes like the validating constructor's
+            assert result.exps == tuple(m.exps for m in result.gens)
             rebuilt = MonomialIdeal(3, result.gens)
             assert result == rebuilt and hash(result) == hash(rebuilt)
             assert result.nvars == 3
+
+    def test_constructor_keeps_its_checks(self):
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            MonomialIdeal(0, ())
+        with pytest.raises(TypeError, match="^generator \\(1, 0\\) is not a Monomial$"):
+            MonomialIdeal(2, [(1, 0)])
+        with pytest.raises(
+            DimensionMismatchError,
+            match="^generator over 3 variables in a 2-variable ideal$",
+        ):
+            MonomialIdeal(2, [Monomial((1, 0)), Monomial((1, 0, 0))])
+        # any iterable of monomials, positional or by keyword
+        built = MonomialIdeal(nvars=2, gens=(m for m in I(2, "x1^2", "x2").gens))
+        assert built == I(2, "x2", "x1^2") and built.exps == ((0, 1), (2, 0))
+
+    def test_ideals_are_read_only(self):
+        ideal = I(2, "x1^2", "x1*x2")
+        for name, value in (("nvars", 3), ("exps", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ideal, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(ideal, name)
+        # the view and names that are not fields are refused too; Python
+        # 3.10 and 3.11 raise TypeError there for a frozen slotted dataclass
+        for name in ("gens", "extra"):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(ideal, name, ())
+        assert ideal == I(2, "x1^2", "x1*x2") and ideal.exps == ((1, 1), (2, 0))
 
     def test_principal_and_prefix_ideals_match_the_constructor(self):
         # principal and prefix skip the constructor; their generator tuples,
