@@ -28,7 +28,6 @@ from .chain import (
     chain_quotients,
     dimension_filtration_report,
     iterated_saturation_chain,
-    regular_sequence_holds,
     sequential_cm_report,
     torsion_ladder_matches_chain,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "pretty_clean_filtration",
     "primary_components",
     "reduced_homology_ranks",
-    "regular_sequence_holds",
     "regularity",
     "run_check",
     "sequential_cm_report",

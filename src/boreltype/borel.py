@@ -112,16 +112,26 @@ def require_borel(module: Subquotient, command: str) -> None:
 
 
 def ideal_is_borel_type(ideal: MonomialIdeal) -> bool:
-    """The ideal-level property: saturating at x_j equals saturating at the
-    initial segment (x1..xj), for every j."""
+    """The ideal-level property J : x_j^inf = J : (x1..xj)^inf for every j,
+    read off the generators with no saturation, apart from borel_verdict.
+
+    As J : (x1..xj)^inf is the meet of the J : x_i^inf, i <= j, this asks
+    J : x_j^inf inside J : x_i^inf for each i < j (the form of Herzog,
+    Popescu and Vladoiu, 2003): x_i^t u / x_j^{u_j} must lie in J for each
+    minimal generator u, t the largest exponent of x_i among J's generators.
+    """
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("Borel type is undefined for the zero and unit ideals")
-    n = ideal.nvars
-    for j in range(1, n + 1):
-        at_var = ideal.saturate(MonomialIdeal.principal(Monomial.variable(j, n)))
-        at_prefix = ideal.saturate(MonomialIdeal.prefix(n, j))
-        if at_var != at_prefix:
-            return False
+    tops = ideal.max_exponents()
+    for u in ideal.exps:
+        for j in range(1, ideal.nvars):
+            if not u[j]:
+                continue
+            for i in range(j):
+                moved = list(u)
+                moved[i], moved[j] = u[i] + tops[i], 0
+                if not ideal.member(trusted_monomial(tuple(moved))):
+                    return False
     return True
 
 

@@ -29,8 +29,8 @@ from .errors import (
 from .monomial import Monomial, MonomialIdeal
 from .subquotient import Subquotient
 
-# Entries kept by each of the chain memos (build_chain, reduced_hilbert,
-# regular_sequence_holds, sequential_cm_report).  Their hits come from within
+# Entries kept by each of the chain memos (build_chain, chain_quotients,
+# reduced_hilbert, sequential_cm_report).  Their hits come from within
 # one module's analysis, where check and the chain readers ask again for the
 # same chain and its reports; unbounded, they kept every module of a run, and
 # peak memory grew with the number of modules.
@@ -131,15 +131,18 @@ def prepare(module: Subquotient, command: str, ceiling) -> SequentialChain:
     return chain
 
 
-def chain_quotients(chain: SequentialChain) -> list[tuple[Subquotient, Subquotient]]:
-    """Per step: the quotient Q = L_step/L_prev and its Artinian reduction."""
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
+def chain_quotients(chain: SequentialChain) -> tuple[tuple[Subquotient, ...], ...]:
+    """Per step: the quotient Q = L_step/L_prev and its Artinian reduction,
+    built here only.  Memoized like build_chain, since reduced_hilbert,
+    sequential_cm_report and the filtration builder read them for one chain."""
     out = []
     prev = chain.base.denominator
     for step in chain.steps:
         quotient = Subquotient(step.ideal, prev)
         out.append((quotient, quotient.artinian_reduction(step.variable_index)))
         prev = step.ideal
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=CHAIN_MEMO_SIZE)
@@ -159,27 +162,17 @@ def reduced_hilbert(
     )
 
 
-@lru_cache(maxsize=CHAIN_MEMO_SIZE)
-def regular_sequence_holds(chain: SequentialChain, step_number: int) -> bool:
-    """Whether x_{n_step+1}, ..., x_n is a regular sequence on the step quotient.
+def _trailing_sequence_regular(quotient: Subquotient, r: int) -> bool:
+    """Whether x_{r+1}, ..., x_n is a regular sequence on the step quotient L/D.
 
     Checks each variable in turn for being a nonzerodivisor on the quotient by
     the previously consumed ones: x is a nonzerodivisor on L/D exactly when
-    (D : x) meet L sits inside D.  Memoized like reduced_hilbert.
+    (D : x) meet L sits inside D.
     """
-    if not 1 <= step_number <= len(chain.steps):
-        raise ValueError(f"step {step_number} outside 1..{len(chain.steps)}")
-    n = chain.base.nvars
-    step = chain.steps[step_number - 1]
-    prev = (
-        chain.base.denominator
-        if step_number == 1
-        else chain.steps[step_number - 2].ideal
-    )
-    top = step.ideal
-    denominator = prev
-    for k in range(n - step.variable_index):
-        x = Monomial.variable(step.variable_index + k + 1, n)
+    n = quotient.nvars
+    top, denominator = quotient.numerator, quotient.denominator
+    for j in range(r + 1, n + 1):
+        x = Monomial.variable(j, n)
         if not denominator.contains(denominator.colon_monomial(x).intersect(top)):
             return False
         denominator = denominator.add(MonomialIdeal.principal(x).multiply(top))
@@ -197,29 +190,23 @@ def sequential_cm_report(chain: SequentialChain) -> dict:
     same chain; callers must not mutate the shared report.
     """
     n = chain.base.nvars
-    dims = []
-    prev = chain.base.denominator
-    for step in chain.steps:
-        dims.append(krull_dim(Subquotient(step.ideal, prev)))
-        prev = step.ideal
+    quotients = [quotient for quotient, _ in chain_quotients(chain)]
+    dims = [krull_dim(quotient) for quotient in quotients]
     expected = [n - s.variable_index for s in chain.steps]
     regular = [
-        regular_sequence_holds(chain, k) for k in range(1, len(chain.steps) + 1)
+        _trailing_sequence_regular(quotient, step.variable_index)
+        for quotient, step in zip(quotients, chain.steps)
     ]
-    ok = (
-        dims == expected
-        and all(a < b for a, b in zip(dims, dims[1:]))
-        and all(regular)
-    )
+    increasing = all(a < b for a, b in zip(dims, dims[1:]))
     return {
         "quotient_dims": dims,
         "expected_dims": expected,
         "dims_match": dims == expected,
-        "dims_strictly_increase": all(a < b for a, b in zip(dims, dims[1:])),
+        "dims_strictly_increase": increasing,
         "regular_sequences": regular,
         "dim": dims[-1],
         "depth": dims[0],
-        "ok": ok,
+        "ok": dims == expected and increasing and all(regular),
     }
 
 

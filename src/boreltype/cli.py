@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--ceiling",
             type=nonnegative_int,
             default=DEFAULT_CEILING,
-            help=f"largest reduced top degree; refused before any scan (default {DEFAULT_CEILING})",
+            help="largest reduced top degree, raised at each chain step to the largest "
+            f"generator degree of its ideal; refused before any scan (default {DEFAULT_CEILING})",
         )
         p.add_argument(
             "--oracle-guard",
@@ -223,7 +224,6 @@ def _write_betti_csv(table: BettiTable, path: str) -> None:
 
 def _cmd_filtration(module: Subquotient, options: CheckOptions):
     chain = prepare(module, "filtration", options.ceiling)
-    require_sequentially_cm(chain, "filtration")
     filtration = pretty_clean_filtration(module)
     verification = verify_filtration(filtration)
     lengths = filtration_length_report(filtration, chain, ceiling=options.ceiling)

@@ -5,8 +5,8 @@ prime P = (x1..xr), start C0 and target T, each appended factor is S/P, so a
 witness m in T outside current needs (current : m) = P.  The witness taken is
 always the least one in (degree, exponents) order.
 
-When x_{r+1}, ..., x_n is a regular sequence on T/C0 (the step's certificate,
-chain.regular_sequence_holds), T/C0 is Cohen-Macaulay and its Stanley spaces
+When x_{r+1}, ..., x_n is a regular sequence on T/C0 (the step's certificate
+in chain.sequential_cm_report), T/C0 is Cohen-Macaulay and its Stanley spaces
 w K[x_{r+1}..x_n] partition T minus C0, w running over the standard monomials
 W of the reduced quotient T/(C0 + (x_{r+1}, ..., x_n)T): a filtration by S/P
 factors is a Stanley decomposition (Herzog-Popescu).  The owner of a monomial
@@ -50,6 +50,7 @@ from .borel import require_borel
 from .chain import (
     SequentialChain,
     build_chain,
+    chain_quotients,
     reduced_hilbert,
     require_sequentially_cm,
 )
@@ -89,13 +90,14 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
 
     Each witness is the least, by (degree, exponents), of the monomials in
     the step's target outside current whose colon is exactly the step prime,
-    read off the step's Stanley spaces (_stanley_witnesses).  Each witness is
-    placed by current.add_monomial(witness), one pass over the current
-    generators; the placements are checked by current == target at the end
-    of each chain step, and again by verify_filtration's own pass.  A module
-    that is not sequentially Cohen-Macaulay is refused (NotSequentiallyCMError),
-    as it has no such filtration; a step whose witnesses do not reach its
-    target is an implementation defect (InternalInconsistencyError).
+    read off the step's Stanley spaces (_stanley_witnesses) from its
+    chain_quotients entry.  Each witness is placed by
+    current.add_monomial(witness), one pass over the current generators; the
+    placements are checked by current == target at the end of each chain
+    step, and again by verify_filtration's own pass.  A module that is not
+    sequentially Cohen-Macaulay is refused (NotSequentiallyCMError), as it has
+    no such filtration; a step whose witnesses do not reach its target is an
+    implementation defect (InternalInconsistencyError).
     """
     require_borel(module, "filtration")
     chain = build_chain(module)
@@ -103,11 +105,12 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     n = module.nvars
     steps: list[FiltrationStep] = []
     current = module.denominator
-    for k, step in enumerate(chain.steps, 1):
+    pairs = zip(chain.steps, chain_quotients(chain))
+    for k, (step, (quotient, reduced)) in enumerate(pairs, 1):
         r = step.variable_index
         prime = MonomialPrime(n, tuple(range(1, r + 1)))
         target = step.ideal
-        for witness in _stanley_witnesses(Subquotient(target, current), r):
+        for witness in _stanley_witnesses(quotient, reduced, r):
             current = current.add_monomial(witness)
             steps.append(FiltrationStep(current, witness, prime))
         if current != target:
@@ -117,11 +120,13 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     return PrimeFiltration(module, tuple(steps))
 
 
-def _stanley_witnesses(quotient: Subquotient, r: int) -> list[Monomial]:
-    """The witnesses of a certified chain step T/C0 in the order they are
-    placed: W, the standard monomials of the reduced quotient, popped from a
-    heap keyed by (degree, exponents) once every m x_i, i <= r, lies in C0 or
-    has its owner placed.
+def _stanley_witnesses(
+    quotient: Subquotient, reduced: Subquotient, r: int
+) -> list[Monomial]:
+    """The witnesses of a certified chain step T/C0, with its reduction, in
+    the order they are placed: W, the standard monomials of the reduction,
+    popped from a heap keyed by (degree, exponents) once every m x_i, i <= r,
+    lies in C0 or has its owner placed.
 
     Each w in W is g u for a generator g of T and u in K[x1..xr] (a trailing
     variable of w/g could be stripped), and each monomial between g and w is
@@ -130,7 +135,6 @@ def _stanley_witnesses(quotient: Subquotient, r: int) -> list[Monomial]:
     reduced quotient is Artinian, which is tested first.
     """
     n = quotient.nvars
-    reduced = quotient.artinian_reduction(r)
     if not reduced.is_artinian():
         raise InternalInconsistencyError(
             f"the reduced quotient {reduced} of a certified chain step at "

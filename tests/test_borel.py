@@ -27,7 +27,13 @@ from boreltype.errors import (
     ZeroModuleError,
 )
 
-from .support import modules, monomial_ideals, raw_torsion_identity_report
+from .support import (
+    gens_of,
+    modules,
+    monomial_ideals,
+    raw_associated_primes,
+    raw_torsion_identity_report,
+)
 
 
 def I(nvars, *gens):
@@ -132,6 +138,17 @@ class TestIdealCriterion:
     @settings(deadline=None, max_examples=80)
     def test_matches_module_route(self, J):
         assert ideal_is_borel_type(J) == borel_verdict(Subquotient.cyclic(J)).is_borel
+
+    @given(J=monomial_ideals())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_associated_primes_by_box_search(self, J):
+        # S/J is of Borel type exactly when each associated prime is an
+        # initial segment; the primes here come from a witness search over
+        # the exponent box, apart from both of the package's routes
+        unit = [(0,) * J.nvars]
+        primes = raw_associated_primes(unit, gens_of(J))
+        initial = all(p == tuple(range(1, len(p) + 1)) for p in primes)
+        assert ideal_is_borel_type(J) == initial
 
     @given(M=modules())
     @settings(deadline=None, max_examples=60)

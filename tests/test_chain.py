@@ -14,13 +14,11 @@ from boreltype import (
     dimension_filtration_report,
     iterated_saturation_chain,
     krull_dim,
-    regular_sequence_holds,
     run_check,
     sequential_cm_report,
     torsion_ladder_matches_chain,
 )
 from boreltype import chain as chain_module
-from boreltype import filtration as filtration_module
 from boreltype.chain import reduced_hilbert
 from boreltype.errors import NotBorelTypeError, ZeroModuleError
 
@@ -101,49 +99,57 @@ class TestQuotients:
         assert statuses["filtration_length"] == "pass"
         assert len(scans) == len(build_chain(M))
 
+    def test_check_reduces_each_step_once(self, monkeypatch):
+        # regularity, the SCM report and the filtration builder read the
+        # memoized chain_quotients, the one place that reduces a step quotient
+        M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
+        reductions = []
+        original = Subquotient.artinian_reduction
+
+        def counted(self, r):
+            reductions.append(r)
+            return original(self, r)
+
+        monkeypatch.setattr(Subquotient, "artinian_reduction", counted)
+        reduced_hilbert.cache_clear()
+        chain_quotients.cache_clear()
+        report, code = run_check(M)
+        assert code == 0
+        chain = build_chain(M)
+        assert len(chain) > 1
+        assert reductions == chain.indices()
+
+    def test_check_computes_each_certificate_once(self, monkeypatch):
+        # the check report, regularity and the filtration builder all read
+        # the memoized sequential_cm_report, which certifies each step once,
+        # on the step quotient of the memoized chain_quotients
+        M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
+        certified = []
+        original = chain_module._trailing_sequence_regular
+
+        def counted(quotient, r):
+            certified.append((quotient, r))
+            return original(quotient, r)
+
+        monkeypatch.setattr(chain_module, "_trailing_sequence_regular", counted)
+        chain_quotients.cache_clear()
+        sequential_cm_report.cache_clear()
+        report, code = run_check(M)
+        assert code == 0
+        assert chain_quotients.cache_info().misses == 1
+        assert sequential_cm_report.cache_info().misses == 1
+        chain = build_chain(M)
+        assert len(chain) > 1
+        assert certified == [
+            (quotient, step.variable_index)
+            for (quotient, _), step in zip(chain_quotients(chain), chain.steps)
+        ]
+
     def test_quotients_are_nonzero(self):
         chain = build_chain(cyclic(3, "x1", "x2^2", "x2*x3"))
         for quotient, reduced in chain_quotients(chain):
             assert not quotient.is_zero()
             assert not reduced.is_zero()
-
-
-class TestRegularSequences:
-    def test_golden(self):
-        chain = build_chain(cyclic(2, "x1^2", "x1*x2"))
-        assert regular_sequence_holds(chain, 1)
-        assert regular_sequence_holds(chain, 2)
-
-    def test_step_bounds(self):
-        chain = build_chain(cyclic(2, "x1"))
-        with pytest.raises(ValueError):
-            regular_sequence_holds(chain, 0)
-        with pytest.raises(ValueError):
-            regular_sequence_holds(chain, 2)
-
-
-    def test_check_computes_each_certificate_once(self, monkeypatch):
-        # the check report, regularity and the filtration builder all read
-        # the memoized sequential_cm_report, which asks once for every step's
-        # certificate
-        M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
-        requested = []
-
-        def counted(chain, step_number):
-            requested.append((chain, step_number))
-            return regular_sequence_holds(chain, step_number)
-
-        monkeypatch.setattr(chain_module, "regular_sequence_holds", counted)
-        assert not hasattr(filtration_module, "regular_sequence_holds")
-        regular_sequence_holds.cache_clear()
-        sequential_cm_report.cache_clear()
-        report, code = run_check(M)
-        assert code == 0
-        pairs = set(requested)
-        assert len(pairs) == len(build_chain(M)) > 1
-        assert len(requested) == len(pairs)
-        assert regular_sequence_holds.cache_info().misses == len(pairs)
-        assert sequential_cm_report.cache_info().misses == 1
 
 
 class TestCmReport:

@@ -20,10 +20,12 @@ from boreltype import (
     Subquotient,
     borel_verdict,
     build_chain,
+    chain_quotients,
     exchange_closure_ideal,
     filtration_length_report,
     generate_corpus,
     pretty_clean_filtration,
+    sequential_cm_report,
     verify_filtration,
 )
 from boreltype import filtration as filtration_module
@@ -458,9 +460,11 @@ class TestWitnessParity:
 
 def _builder_calls(monkeypatch, M, owner, name):
     """The filtration's length and how often the builder calls owner.name,
-    with the verdict and chain cached first, so that only the builder's own
-    calls are counted."""
-    borel_verdict(M), build_chain(M)
+    with the verdict, the chain, its quotients and its certificate cached
+    first, so that only the builder's own calls are counted."""
+    borel_verdict(M)
+    chain = build_chain(M)
+    chain_quotients(chain), sequential_cm_report(chain)
     calls = []
     original = getattr(owner, name)
 

@@ -17,6 +17,7 @@ from boreltype import (
     associated_primes,
     betti_table,
     dimension_filtration,
+    ideal_is_borel_type,
     irreducible_decomposition,
     monomial_from_text,
     monomials_of_degree,
@@ -456,6 +457,7 @@ class TestSaturationFreeRoutes:
             primary_components(ideal),
             [dimension_filtration(ideal, d) for d in range(ideal.nvars)],
             betti_table(ideal),
+            ideal_is_borel_type(ideal),
         )
 
     def test_routes_compute_without_saturation(self, monkeypatch):
