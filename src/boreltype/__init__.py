@@ -6,11 +6,7 @@ Betti-number oracle for cross-validation.
 from .betti import (
     DEFAULT_ORACLE_GUARD,
     BettiTable,
-    SimplicialComplex,
     betti_table,
-    oracle_invariants,
-    reduced_homology_ranks,
-    upper_koszul_complex,
 )
 from .borel import (
     BorelVerdict,
@@ -92,7 +88,6 @@ __all__ = [
     "RegularityReport",
     "RegularityStep",
     "SequentialChain",
-    "SimplicialComplex",
     "Subquotient",
     "ZeroModuleError",
     "associated_primes",
@@ -115,11 +110,9 @@ __all__ = [
     "minimal_primes",
     "monomial_from_text",
     "monomials_of_degree",
-    "oracle_invariants",
     "parse_module_file",
     "pretty_clean_filtration",
     "primary_components",
-    "reduced_homology_ranks",
     "regularity",
     "run_check",
     "sequential_cm_report",
@@ -127,6 +120,5 @@ __all__ = [
     "torsion_identity_report",
     "torsion_ladder_matches_chain",
     "truncation_stability_degree",
-    "upper_koszul_complex",
     "verify_filtration",
 ]

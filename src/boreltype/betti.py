@@ -10,14 +10,12 @@ x^a and F lies in the facet {i : g_i < a_i}, the faces are the subsets of
 those facets, read off the generators' exponent tuples as bitmasks by one
 walk of the box, coordinate by coordinate, that carries each generator's
 partial facet and drops the generator at its first coordinate above the
-point.  The faces stay bitmasks from the facet test to the boundary matrices;
-a SimplicialComplex is built only by upper_koszul_complex, which runs the same
-walk over a one-point box, for callers outside the oracle's loop.  Many box
-points span the same complex, so the homology of each distinct complex is
-memoized in one bounded module-level lru_cache, keyed on the exact set of its
-maximal facets and the field.  Homology ranks are exact: the rank over the
-rationals comes from fraction-free (Bareiss) elimination on Python integers,
-and the rank over the field with two elements, when requested, from
+point.  The faces stay bitmasks from the facet test to the boundary matrices.
+Many box points span the same complex, so the homology of each distinct
+complex is memoized in one bounded module-level lru_cache, keyed on the exact
+set of its maximal facets and the field.  Homology ranks are exact: the rank
+over the rationals comes from fraction-free (Bareiss) elimination on Python
+integers, and the rank over the field with two elements, when requested, from
 elimination on bit rows.  The quotient ring's table is the ideal's table
 shifted one step, plus the free rank one at the origin.  Regularity,
 projective dimension, and depth (variables minus projective dimension) are
@@ -36,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monomial import Monomial, MonomialIdeal, ensure_box
+from .monomial import MonomialIdeal, ensure_box
 
 DEFAULT_ORACLE_GUARD = 1 << 16
 
@@ -49,43 +47,6 @@ KOSZUL_HOMOLOGY_MEMO_SIZE = 2048
 # table per module, so only repeated library calls hit it; unbounded, it kept
 # every table of a check-stable round, about 0.36 MB for 56 tables.
 BETTI_TABLE_MEMO_SIZE = 16
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """An abstract simplicial complex on a vertex subset of {1..n}.
-
-    The empty complex (no faces at all) and the complex whose only face is the
-    empty set are distinct: the former has no homology in any dimension, the
-    latter has rank one in dimension -1.
-    """
-
-    vertices: tuple[int, ...]
-    faces: frozenset[frozenset[int]]
-
-    def __post_init__(self):
-        verts = tuple(sorted(set(self.vertices)))
-        object.__setattr__(self, "vertices", verts)
-        faces = frozenset(frozenset(f) for f in self.faces)
-        vertex_set = set(verts)
-        for f in faces:
-            if not f <= vertex_set:
-                raise ValueError(f"face {sorted(f)} uses unknown vertices")
-            for v in f:
-                if f - {v} not in faces:
-                    raise ValueError(
-                        f"face {sorted(f)} present without its subface "
-                        f"{sorted(f - {v})}"
-                    )
-        object.__setattr__(self, "faces", faces)
-
-    def is_void(self) -> bool:
-        return not self.faces
-
-    def dim(self) -> int:
-        if not self.faces:
-            return -2
-        return max(len(f) for f in self.faces) - 1
 
 
 def _koszul_walk(gen_exps, ranges):
@@ -146,28 +107,6 @@ def _faces_below(facets) -> set[int]:
                 break
             sub = (sub - 1) & facet
     return masks
-
-
-def upper_koszul_complex(ideal: MonomialIdeal, multidegree) -> SimplicialComplex:
-    """The upper Koszul complex K^a(I): the subsets F of the support of a with
-    x^(a-F) in the ideal.
-
-    x^(a-F) lies in I exactly when some minimal generator g divides it, that
-    is when g divides x^a and F lies inside {i : g_i < a_i}, the facet of g at
-    a.  So the faces are the subsets of these facets.  They are enumerated as
-    bitmasks by the Betti oracle's walk, over the one-point box {a}, and
-    converted to vertex sets once.
-    """
-    a = Monomial(tuple(multidegree))
-    if a.nvars != ideal.nvars:
-        raise ValueError("multidegree length does not match the variable count")
-    [(_, facets)] = _koszul_walk(ideal.exps, [(e,) for e in a.exps])
-    masks = _faces_below(facets)
-    verts = a.support()
-    faces = frozenset(
-        frozenset(v for v in verts if mask >> (v - 1) & 1) for mask in masks
-    )
-    return SimplicialComplex(verts, faces)
 
 
 def _rank_rational(rows: list[list[int]]) -> int:
@@ -283,23 +222,6 @@ def _homology_ranks(masks, rank_of) -> dict:
     return out
 
 
-def reduced_homology_ranks(complex_: SimplicialComplex, field: str = "q") -> dict:
-    """Ranks of the reduced homology groups, indexed by dimension.
-
-    Only nonzero ranks appear in the result; the void complex has none.  The
-    faces are converted to bitmasks and ranked by the same code the Betti
-    oracle runs.
-    """
-    rank_of = _rank_function(field)
-    masks = []
-    for f in complex_.faces:
-        mask = 0
-        for v in f:
-            mask |= 1 << (v - 1)
-        masks.append(mask)
-    return _homology_ranks(masks, rank_of)
-
-
 @lru_cache(maxsize=KOSZUL_HOMOLOGY_MEMO_SIZE)
 def _koszul_homology(facets: tuple[int, ...], field: str) -> tuple:
     """The nonzero reduced homology ranks, as (dimension, rank) pairs, of the
@@ -324,13 +246,6 @@ class BettiTable:
     nvars: int
     entries: tuple[tuple[int, tuple[int, ...], int], ...]
     field: str = "q"
-
-    def rank(self, index: int, multidegree) -> int:
-        key = tuple(multidegree)
-        for i, a, r in self.entries:
-            if i == index and a == key:
-                return r
-        return 0
 
     def regularity(self) -> int:
         return max(sum(a) - i for i, a, _ in self.entries)
@@ -381,7 +296,3 @@ def betti_table(
     entries.sort()
     return BettiTable(ideal.nvars, tuple(entries), field)
 
-
-def oracle_invariants(table: BettiTable) -> tuple[int, int, int]:
-    """(regularity, projective dimension, depth) read off a Betti table."""
-    return table.regularity(), table.projective_dimension(), table.depth()

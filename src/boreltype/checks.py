@@ -1,6 +1,20 @@
 """Cross-validation orchestration: every mathematically forced coincidence
 the package knows about, run against a single module.
 
+Each check is one route(name, reason, compute) call, and the calls run in
+the order the report lists the checks.  The reason is None, or the text a
+not_applicable check reports; it is one of a few values read once per module
+(zero, not of Borel type, not cyclic), so each check's name and
+applicability are written once, side by side.  compute is a closure that
+returns (ok, detail), or a status of its own in place of ok: "skipped" when
+the oracle's guard refuses the box.  The values several checks read (the
+chain and its SCM report, the Betti table, the chain's regularity, the
+filtration) are plain locals, each built just before the first check that
+reads it and only where that check applies; an exception there ends the
+report after the checks already added.  Every package function is called
+through this module's name for it, looked up at call time, so a test or a
+tracer that rebinds the name sees every call.
+
 The exit-code contract: 0 all checks pass (or are inapplicable), 1 a
 mathematical cross-check failed, 2 an internal inconsistency (a result theory
 proves impossible, e.g. the Borel criteria disagreeing), 3 malformed input.
@@ -13,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import DEFAULT_ORACLE_GUARD, betti_table, oracle_invariants
+from .betti import DEFAULT_ORACLE_GUARD, betti_table
 from .borel import (
     borel_verdict,
     ideal_is_borel_type,
@@ -85,11 +99,19 @@ def run_check(module: Subquotient, options: CheckOptions = CheckOptions()):
         "checks": checks,
     }
 
-    def add(name, status, detail=None):
+    def route(name, reason, compute):
+        """Add one check: not applicable for a reason, else compute() gives
+        (ok, detail), where ok is True, False or a status of its own."""
+        if reason is not None:
+            checks.append({"name": name, "status": "not_applicable", "detail": reason})
+            return
+        ok, detail = compute()
+        status = ok if isinstance(ok, str) else ("pass" if ok else "fail")
         checks.append({"name": name, "status": status, "detail": detail})
 
+    exit_code = EXIT_OK
     try:
-        exit_code = _run_all(module, options, add, report)
+        _run_all(module, options, route, report)
     except (InternalInconsistencyError, NotSequentiallyCMError) as exc:
         report["internal_inconsistency"] = str(exc)
         exit_code = EXIT_INTERNAL
@@ -99,165 +121,132 @@ def run_check(module: Subquotient, options: CheckOptions = CheckOptions()):
     return report, exit_code
 
 
-def _run_all(module, options, add, report):
+def _agree(**routes):
+    """(whether the two routes agree, the routes as the check's detail)."""
+    first, second = routes.values()
+    return first == second, routes
+
+
+def _run_all(module, options, route, report):
     verdict = borel_verdict(module)
     report["verdict"] = verdict.to_json()
-    add("borel_criteria_agree", "pass", {"borel_type": verdict.is_borel})
-
+    borel = verdict.is_borel
     # raises InternalInconsistencyError when a stable truncation contradicts
     # a non-Borel verdict; M_{>=0} = M, so degree 0 decides strong stability
     e_found = truncation_stability_degree(module, options.e_max)
     stable_now = e_found == 0
+    ideal = module.denominator
+    zero = "zero module" if module.is_zero() else None
+    not_cyclic = None if module.is_cyclic() else "module is not cyclic"
+    no_chain = zero or (None if borel else "module is not of Borel type")
+    no_oracle = no_chain or (not_cyclic and "oracle handles cyclic modules")
 
-    cyclic_proper = module.is_cyclic() and not module.is_zero()
-    if cyclic_proper:
-        ideal = module.denominator
-        ideal_route = ideal_is_borel_type(ideal)
-        add(
-            "ideal_module_borel_agree",
-            "pass" if ideal_route == verdict.is_borel else "fail",
-            {"ideal_route": ideal_route, "module_route": verdict.is_borel},
-        )
-        stable_ideal = is_strongly_stable_ideal(ideal)
-        add(
-            "strongly_stable_agree",
-            "pass" if stable_ideal == stable_now else "fail",
-            {"ideal_route": stable_ideal, "module_route": stable_now},
-        )
-    else:
-        add("ideal_module_borel_agree", "not_applicable", "module is not cyclic")
-        add("strongly_stable_agree", "not_applicable", "module is not cyclic")
-
-    add(
+    route("borel_criteria_agree", None, lambda: (True, {"borel_type": borel}))
+    route(
+        "ideal_module_borel_agree",
+        not_cyclic or zero,
+        lambda: _agree(ideal_route=ideal_is_borel_type(ideal), module_route=borel),
+    )
+    route(
+        "strongly_stable_agree",
+        not_cyclic or zero,
+        lambda: _agree(
+            ideal_route=is_strongly_stable_ideal(ideal), module_route=stable_now
+        ),
+    )
+    route(
         "strongly_stable_implies_borel",
-        "pass" if (not stable_now or verdict.is_borel) else "fail",
-        {"strongly_stable": stable_now, "borel_type": verdict.is_borel},
+        None,
+        lambda: (
+            not stable_now or borel,
+            {"strongly_stable": stable_now, "borel_type": borel},
+        ),
+    )
+    route("truncation_stability", None, lambda: (True, {"degree": e_found}))
+    route(
+        "serialization_roundtrip",
+        None,
+        lambda: (parse_module_file(serialize_module(module)) == module, None),
     )
 
-    add("truncation_stability", "pass", {"degree": e_found})
+    chain = cm = None
+    if no_chain is None:
+        # refuses a reduced top degree past the ceiling before any other check
+        chain = prepare(module, "check", options.ceiling)
+        cm = sequential_cm_report(chain)
 
-    roundtrip = parse_module_file(serialize_module(module))
-    add("serialization_roundtrip", "pass" if roundtrip == module else "fail")
-
-    chain_checks = (
-        "chain_invariants",
-        "regular_sequences",
-        "torsion_chain_consistency",
-        "torsion_identities",
-        "ideal_chain_consistency",
-        "dimension_filtration",
-        "regularity_vs_oracle",
-        "depth_vs_oracle",
-        "pretty_clean_filtration",
-        "filtration_length",
-    )
-    if module.is_zero():
-        for name in chain_checks:
-            add(name, "not_applicable", "zero module")
-        return EXIT_OK
-    if not verdict.is_borel:
-        for name in chain_checks:
-            add(name, "not_applicable", "module is not of Borel type")
-        return EXIT_OK
-
-    # refuses a reduced top degree past the ceiling before any other check
-    chain = prepare(module, "check", options.ceiling)
-    n = module.nvars
-    indices = chain.indices()
-    ideals = chain.ideals()
-    cm = sequential_cm_report(chain)
-    invariants_ok = (
-        all(a > b for a, b in zip(indices, indices[1:]))
-        and len(chain) <= n
-        and ideals[-1] == module.numerator
-        and all(
-            b.contains(a) and a != b
-            for a, b in zip([module.denominator] + ideals, ideals)
+    def invariants():
+        indices, ideals = chain.indices(), chain.ideals()
+        ok = (
+            all(a > b for a, b in zip(indices, indices[1:]))
+            and len(chain) <= module.nvars
+            and ideals[-1] == module.numerator
+            and all(b.contains(a) and a != b for a, b in zip([ideal] + ideals, ideals))
+            and cm["dims_match"]
+            and cm["dims_strictly_increase"]
         )
-        and cm["dims_match"]
-        and cm["dims_strictly_increase"]
-    )
-    add(
-        "chain_invariants",
-        "pass" if invariants_ok else "fail",
-        {"indices": indices, "dims": cm["quotient_dims"]},
-    )
-    add(
-        "regular_sequences",
-        "pass" if all(cm["regular_sequences"]) else "fail",
-        {"per_step": cm["regular_sequences"]},
-    )
-    add(
-        "torsion_chain_consistency",
-        "pass" if torsion_ladder_matches_chain(chain) else "fail",
-    )
-    identities = torsion_identity_report(module)
-    add(
-        "torsion_identities",
-        "pass"
-        if identities["consecutive_products"] and identities["support_reduction"]
-        else "fail",
-        identities["counterexample"],
-    )
+        return ok, {"indices": indices, "dims": cm["quotient_dims"]}
 
-    if cyclic_proper:
-        ideal = module.denominator
-        saturation_route = iterated_saturation_chain(ideal)
-        matches = saturation_route == [
-            (s.variable_index, s.ideal) for s in chain.steps
-        ]
-        add("ideal_chain_consistency", "pass" if matches else "fail")
-        dimrep = dimension_filtration_report(ideal)
-        add(
-            "dimension_filtration",
-            "pass" if dimrep["ok"] else "fail",
-            {"entries": dimrep["entries"]},
-        )
+    def identities():
+        found = torsion_identity_report(module)
+        ok = found["consecutive_products"] and found["support_reduction"]
+        return ok, found["counterexample"]
+
+    def saturations():
+        steps = [(s.variable_index, s.ideal) for s in chain.steps]
+        return iterated_saturation_chain(ideal) == steps, None
+
+    def dimensions():
+        found = dimension_filtration_report(ideal)
+        return found["ok"], {"entries": found["entries"]}
+
+    route("chain_invariants", no_chain, invariants)
+    route(
+        "regular_sequences",
+        no_chain,
+        lambda: (all(cm["regular_sequences"]), {"per_step": cm["regular_sequences"]}),
+    )
+    route(
+        "torsion_chain_consistency",
+        no_chain,
+        lambda: (torsion_ladder_matches_chain(chain), None),
+    )
+    route("torsion_identities", no_chain, identities)
+    route("ideal_chain_consistency", no_chain or not_cyclic, saturations)
+    route("dimension_filtration", no_chain or not_cyclic, dimensions)
+
+    # the chain's regularity is computed only once the oracle's box is admitted
+    table = reg = skipped = None
+    if no_oracle is None:
         try:
             table = betti_table(ideal, guard=options.oracle_guard, field=options.field)
         except GuardExceededError as exc:
-            add("regularity_vs_oracle", "skipped", str(exc))
-            add("depth_vs_oracle", "skipped", str(exc))
-            table = None
-        if table is not None:
-            reg_report = regularity(module, ceiling=options.ceiling)
-            reg_oracle, _, depth_oracle = oracle_invariants(table)
-            add(
-                "regularity_vs_oracle",
-                "pass" if reg_report.regularity == reg_oracle else "fail",
-                {"chain": reg_report.regularity, "oracle": reg_oracle},
-            )
-            add(
-                "depth_vs_oracle",
-                "pass" if reg_report.depth == depth_oracle else "fail",
-                {"chain": reg_report.depth, "oracle": depth_oracle},
-            )
-    else:
-        add("ideal_chain_consistency", "not_applicable", "module is not cyclic")
-        add("dimension_filtration", "not_applicable", "module is not cyclic")
-        add("regularity_vs_oracle", "not_applicable", "oracle handles cyclic modules")
-        add("depth_vs_oracle", "not_applicable", "oracle handles cyclic modules")
-
-    # a module that is not sequentially CM is refused here, as an inconsistency
-    filtration = pretty_clean_filtration(module)
-    verification = verify_filtration(filtration)
-    add(
-        "pretty_clean_filtration",
-        "pass"
-        if verification["pretty_clean"] and verification["support_equals_ass"]
-        else "fail",
-        {
-            "pretty_clean": verification["pretty_clean"],
-            "support_equals_ass": verification["support_equals_ass"],
-            "clean": verification["clean"],
-            "length": verification["length"],
-        },
+            skipped = ("skipped", str(exc))
+        else:
+            reg = regularity(module, ceiling=options.ceiling)
+    route(
+        "regularity_vs_oracle",
+        no_oracle,
+        lambda: skipped or _agree(chain=reg.regularity, oracle=table.regularity()),
     )
-    lengths = filtration_length_report(filtration, chain, ceiling=options.ceiling)
-    add(
-        "filtration_length",
-        "pass" if lengths["ok"] else "fail",
-        {"total_length": lengths["total_length"]},
+    route(
+        "depth_vs_oracle",
+        no_oracle,
+        lambda: skipped or _agree(chain=reg.depth, oracle=table.depth()),
     )
-    return EXIT_OK
 
+    # refuses a module that is not sequentially CM, as an inconsistency
+    filtration = None if no_chain else pretty_clean_filtration(module)
+
+    def verification():
+        found = verify_filtration(filtration)
+        ok = found["pretty_clean"] and found["support_equals_ass"]
+        keys = ("pretty_clean", "support_equals_ass", "clean", "length")
+        return ok, {key: found[key] for key in keys}
+
+    def lengths():
+        found = filtration_length_report(filtration, chain, ceiling=options.ceiling)
+        return found["ok"], {"total_length": found["total_length"]}
+
+    route("pretty_clean_filtration", no_chain, verification)
+    route("filtration_length", no_chain, lengths)

@@ -25,7 +25,6 @@ from boreltype import (
     ideal_is_borel_type,
     is_strongly_stable_module,
     krull_dim,
-    oracle_invariants,
     pretty_clean_filtration,
     regularity,
     run_check,
@@ -62,7 +61,7 @@ def test_criterion_1_chain_regularity_matches_oracle(borel_corpus):
     assert len(borel_corpus) >= 200
     for M in borel_corpus:
         chain_reg = regularity(M).regularity
-        oracle_reg, _, _ = oracle_invariants(betti_table(M.denominator))
+        oracle_reg = betti_table(M.denominator).regularity()
         assert chain_reg == oracle_reg, (M, chain_reg, oracle_reg)
     _passed(1, f"chain regularity equals oracle regularity on {len(borel_corpus)} "
                "exchange-closed cyclic modules")
@@ -140,8 +139,8 @@ def test_criterion_6_depth_markers_agree(borel_corpus, mixed_corpus):
             continue
         chain_depth = regularity(M).depth
         table = betti_table(M.denominator)
-        _, pd, oracle_depth = oracle_invariants(table)
-        assert chain_depth == oracle_depth == M.nvars - pd, (M, chain_depth, pd)
+        pd = table.projective_dimension()
+        assert chain_depth == table.depth() == M.nvars - pd, (M, chain_depth, pd)
         checked += 1
     _passed(6, f"chain depth n - n_1 equals the homological depth on {checked} "
                "cyclic modules")

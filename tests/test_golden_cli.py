@@ -43,6 +43,8 @@ MODULES = {
     "fourth_powers": "vars: 3\nnumerator:\nunit\ndenominator:\nx1^4\nx2^4\nx3^4\n",
     # the refusal ladder, pinned under the four commands that read the chain
     "zero": "vars: 2\nnumerator:\nx1\ndenominator:\nx1\n",
+    # S/S: zero and cyclic, so its ideal routes are not applicable as zero
+    "zero_cyclic": "vars: 2\nnumerator:\nunit\ndenominator:\nunit\n",
     # M is the maximal ideal of K[x2,x3]: of Borel type, not sequentially CM
     "not_sequentially_cm": "vars: 3\nnumerator:\nx1\nx2\nx3\ndenominator:\nx1\n",
     # not sequentially CM, and its reduced top degree passes a ceiling of 4
@@ -79,6 +81,7 @@ CASES = [
     for command in ("check", "chain", "reg", "filtration", "analyze")
 ] + [
     ("check", "fourth_powers", ()),
+    ("check", "zero_cyclic", ()),
     ("check", "cyclic_borel", ("--oracle-guard", "1")),
     ("check", "cyclic_borel", ("--field", "f2")),
     # the least stable truncation degree is 3, past the cap of 2

@@ -25,6 +25,7 @@ from boreltype.cli import main
 from boreltype.errors import InternalInconsistencyError, NotArtinianError, ParseError
 
 from .support import modules
+from .test_golden_cli import MODULES
 
 CANONICAL = "vars: 2\nnumerator:\nunit\ndenominator:\nx1*x2\nx1^2\n"
 
@@ -502,6 +503,37 @@ class TestCliErrors:
         code, report, err = run_cli(capsys, "analyze", module_file)
         assert code == 2 and report is None
         assert "internal inconsistency" in err
+
+
+# every function checks.py imports from the package, lru_cache wrappers too
+CHECK_CALLEES = sorted(
+    name
+    for name, value in vars(checks).items()
+    if callable(value)
+    and not isinstance(value, type)
+    and getattr(value, "__module__", "").startswith("boreltype.")
+    and value.__module__ != checks.__name__
+)
+
+
+def test_check_callees_include_the_memoized_functions():
+    assert {"borel_verdict", "betti_table", "sequential_cm_report"} <= set(CHECK_CALLEES)
+
+
+@pytest.mark.parametrize("name", CHECK_CALLEES)
+def test_run_check_calls_through_the_module_name(monkeypatch, name):
+    # a tracer or a test that rebinds checks.<name> must see the call; a
+    # function object kept elsewhere, say in a table, would bypass it
+    module = parse_module_file(MODULES["cyclic_borel"])
+    original, calls = getattr(checks, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, name, counting)
+    checks.run_check(module)
+    assert calls
 
 
 class TestSubprocess:

@@ -1,4 +1,5 @@
-"""The README's Library snippet runs and prints the values its comments state."""
+"""The README's Library snippet runs and prints the values its comments state,
+and its list of `check`'s cross-checks is the order the report gives."""
 
 from __future__ import annotations
 
@@ -6,6 +7,10 @@ import contextlib
 import io
 import os
 import re
+
+from boreltype import parse_module_file, run_check
+
+from .test_golden_cli import MODULES
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
@@ -27,3 +32,12 @@ def test_library_snippet_prints_its_comments():
     comments = re.findall(r"# (.+)", snippet)
     assert len(comments) == len(printed)
     assert all(c == p or c.startswith(p + ",") for c, p in zip(comments, printed))
+
+
+def test_check_list_is_the_report_order():
+    with open(README, encoding="utf-8") as handle:
+        section = handle.read().split("### Exit codes", 1)[1]
+    section = section.split("## Library", 1)[0]
+    listed = re.findall(r"^- `(\w+)`", section, re.M)
+    report, _ = run_check(parse_module_file(MODULES["cyclic_borel"]))
+    assert listed == [c["name"] for c in report["checks"]]
