@@ -9,6 +9,11 @@ ideals are meet-prime, so a new component is redundant exactly when it
 contains another one, and the unique irredundant result does not depend on
 the generator order (Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 5).
+
+The components, their radicals and the associated primes computed here are
+sorted as plain tuples and wrapped by ``_trusted``, without the validation of
+``IrreducibleComponent(...)`` and ``MonomialPrime(...)``, which stay the
+boundary for values from outside.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import ZeroModuleError
-from .monomial import Monomial, MonomialIdeal
+from .monomial import MonomialIdeal, _ideal_from_exps
 from .subquotient import Subquotient
 
 # Entries kept by each of the decomposition memos (irreducible_decomposition,
@@ -83,18 +88,33 @@ class IrreducibleComponent:
         object.__setattr__(self, "bounds", cleaned)
 
     def to_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i, e in self.bounds:
-            exps = [0] * self.nvars
-            exps[i - 1] = e
-            gens.append(Monomial(tuple(exps)))
-        return MonomialIdeal(self.nvars, tuple(gens))
+        n = self.nvars
+        return _ideal_from_exps(
+            n, {(0,) * (i - 1) + (e,) + (0,) * (n - i) for i, e in self.bounds}
+        )
 
     def radical(self) -> MonomialPrime:
-        return MonomialPrime(self.nvars, tuple(i for i, _ in self.bounds))
+        return _trusted(MonomialPrime, self.nvars, tuple(i for i, _ in self.bounds))
 
     def __str__(self) -> str:
         return str(self.to_ideal())
+
+
+def _trusted(cls, nvars: int, value: tuple):
+    """The ``MonomialPrime`` or ``IrreducibleComponent`` with these fields,
+    without the validating ``__post_init__``.
+
+    Only for values built from a valid ideal or component: ascending distinct
+    variables of x1..xn, or bounds sorted by variable with positive exponents.
+    Input from outside goes through the constructors.  The fields are set
+    with ``object.__setattr__``, as the constructors set them: writing
+    through ``__dict__`` would give each value a dict of its own, which the
+    memos would keep.
+    """
+    obj = object.__new__(cls)
+    for name, field_value in zip(cls.__dataclass_fields__, (nvars, value)):
+        object.__setattr__(obj, name, field_value)
+    return obj
 
 
 def _require_proper_nonzero(ideal: MonomialIdeal, what: str) -> None:
@@ -125,8 +145,8 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
         components = kept + [
             b for b in split if not any(c != b and _contains(b, c) for c in pool)
         ]
-    bounds = (tuple((i, c) for i, c in enumerate(b, 1) if c) for b in components)
-    return tuple(sorted(IrreducibleComponent(n, b) for b in bounds))
+    bounds = sorted(tuple((i, c) for i, c in enumerate(b, 1) if c) for b in components)
+    return tuple(_trusted(IrreducibleComponent, n, b) for b in bounds)
 
 
 def _contains(b, c) -> bool:
@@ -157,7 +177,8 @@ def cyclic_associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     """Ass(S/ideal): the distinct radicals of the irreducible components
     (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 5)."""
     _require_proper_nonzero(ideal, "associated primes")
-    primes = {comp.radical() for comp in irreducible_decomposition(ideal)}
+    radicals = {tuple(i for i, _ in c.bounds) for c in irreducible_decomposition(ideal)}
+    primes = (_trusted(MonomialPrime, ideal.nvars, v) for v in radicals)
     return tuple(sorted(primes, key=prime_sort_key))
 
 

@@ -18,12 +18,16 @@ construction and skip that validation; only the variable counts of the
 operands are still compared, so that no operation truncates silently.  The
 ideal results of ``add``, ``multiply``, ``intersect``, ``colon_monomial`` and
 ``saturate`` are built by ``_ideal_from_exps``, which shares the
-constructor's minimalization and skips its checks.  ``add_monomial`` (I + (m),
-as the filtration builder places its witnesses) needs no minimalization: it
-keeps m and the generators m does not divide, or returns I when m lies in it.
-Both build their results through ``_trusted_ideal``, as do ``principal`` and
-``prefix`` after their checks: one monomial, or distinct variables, are
-minimal by construction.
+constructor's minimalization and skips its checks.  ``intersect`` first sorts
+each operand's generators by membership in the other: those that lie in it
+are kept as they are and lcms are formed only between the rest, so an operand
+whose generators all lie in the other is returned itself, with no new ideal
+built.  ``add_monomial`` (I + (m), as the filtration builder places its
+witnesses) needs no minimalization: it keeps m and the generators m does not
+divide, or returns I when m lies in it.  It and ``_ideal_from_exps`` build
+their results through ``_trusted_ideal``, as do ``principal`` and ``prefix``
+after their checks: one monomial, or distinct variables, are minimal by
+construction.
 
 Saturations are memoized in one place, the bounded module-level
 ``lru_cache`` of ``_saturate_monomial``: the saturation of an ideal at a
@@ -41,6 +45,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import compress, count
 from operator import add, le, sub
 
 from .errors import DimensionMismatchError, GuardExceededError, ParseError
@@ -127,7 +132,7 @@ class Monomial:
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the variables dividing this monomial."""
-        return tuple(i for i, e in enumerate(self.exps, 1) if e > 0)
+        return _support(self.exps)
 
     def radical_and_min_support(self) -> tuple["Monomial", int]:
         """The squarefree part and the smallest variable index in the support.
@@ -164,39 +169,36 @@ def trusted_monomial(exps: tuple[int, ...]) -> Monomial:
     return m
 
 
-def _support_mask(exps: tuple[int, ...]) -> int:
-    """Bit i set exactly when variable i + 1 divides the monomial."""
-    mask = 0
-    for i, e in enumerate(exps):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
 def _minimal_exps(distinct) -> tuple[tuple[int, ...], ...]:
     """The divisibility-minimal ones among distinct exponent tuples, in
     ascending lexicographic order.
 
-    The tuples are walked by degree: a monomial can only be divided by a
-    different one of lower degree, so each candidate is tested against the
-    kept tuples of lower degree only.  A kept tuple whose support is not
-    inside the candidate's cannot divide it, which a comparison of support
-    bitmasks decides before the exponents are compared.
+    A tuple that divides another and differs from it is smaller at the first
+    place they differ, so every divisor of a tuple comes before it in
+    ascending lexicographic order.  One walk in that order therefore keeps a
+    tuple unless a kept one divides it (a divisor that was dropped has a kept
+    divisor of its own), and the kept tuples come out already sorted.  Such a
+    divisor also has lower degree, so the kept tuples are grouped by degree
+    and a candidate is tested against the groups of lower degree only: tuples
+    all of one degree, as the exchange closure of one monomial gives, need no
+    test at all.
     """
-    kept: list[tuple[tuple[int, ...], int]] = []  # (exponents, support mask)
-    lower: list[tuple[tuple[int, ...], int]] = []  # those of lower degree
-    degree = -1
-    for exps in sorted(distinct, key=sum):
-        d = sum(exps)
-        if d != degree:
-            degree, lower = d, kept[:]
-        mask = _support_mask(exps)
-        for k, k_mask in lower:
-            if not (k_mask & ~mask) and all(map(le, k, exps)):
-                break
+    kept: list[tuple[int, ...]] = []
+    by_degree: dict[int, list[tuple[int, ...]]] = {}  # the kept tuples
+    for exps in sorted(distinct):
+        degree = sum(exps)
+        for lower_degree, lower in by_degree.items():
+            if lower_degree < degree:
+                for k in lower:
+                    if all(map(le, k, exps)):
+                        break
+                else:
+                    continue
+                break  # a kept tuple divides exps
         else:
-            kept.append((exps, mask))
-    return tuple(sorted(exps for exps, _ in kept))
+            kept.append(exps)
+            by_degree.setdefault(degree, []).append(exps)
+    return tuple(kept)
 
 
 _FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?\Z")
@@ -372,16 +374,22 @@ class MonomialIdeal:
         return _ideal_from_exps(self.nvars, {*self.exps, *other.exps})
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Generated by the lcms of the pairs of generators; the unit ideal
-        returns the other operand as it is."""
+        """Generated by the generators of each operand that lie in the other
+        and the lcms of the pairs of generators that do not; an lcm with a
+        generator that lies in the other operand is a multiple of it.  An
+        operand whose every generator lies in the other (the partner of the
+        unit ideal, the first of two equal ideals, the zero ideal) is
+        returned as it is."""
         self._check(other)
-        if self.is_unit():
-            return other
-        if other.is_unit():
+        a_out, a_in = _split_by_membership(self.exps, other.exps)
+        if not a_out:
             return self
+        b_out, b_in = _split_by_membership(other.exps, self.exps)
+        if not b_out:
+            return other
         return _ideal_from_exps(
             self.nvars,
-            {tuple(map(max, a, b)) for a in self.exps for b in other.exps},
+            {*a_in, *b_in, *(tuple(map(max, a, b)) for a in a_out for b in b_out)},
         )
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -410,10 +418,7 @@ class MonomialIdeal:
         if other.is_zero():
             raise ValueError("saturation by the zero ideal is undefined")
         self._check(other)
-        parts = [
-            _saturate_monomial(self, tuple(i for i, e in enumerate(u, 1) if e))
-            for u in other.exps
-        ]
+        parts = [_saturate_monomial(self, _support(u)) for u in other.exps]
         return reduce(MonomialIdeal.intersect, parts)
 
     def max_exponents(self) -> tuple[int, ...]:
@@ -460,6 +465,26 @@ def _ideal_from_exps(nvars: int, distinct) -> MonomialIdeal:
     Input from outside goes through ``MonomialIdeal(...)``.
     """
     return _trusted_ideal(nvars, _minimal_exps(distinct))
+
+
+def _split_by_membership(gens, other) -> tuple[list, list]:
+    """The tuples of gens outside the ideal generated by other, and those in
+    it."""
+    outside, inside = [], []
+    for a in gens:
+        for b in other:
+            if all(map(le, b, a)):
+                inside.append(a)
+                break
+        else:
+            outside.append(a)
+    return outside, inside
+
+
+def _support(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """1-based indices of the variables with a positive exponent; the key of
+    the saturation memo."""
+    return tuple(compress(count(1), exps))
 
 
 @lru_cache(maxsize=SATURATION_MEMO_SIZE)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boreltype import (
+    IrreducibleComponent,
     Monomial,
     MonomialIdeal,
     MonomialPrime,
@@ -26,6 +27,7 @@ from boreltype import (
     minimal_primes,
     primary_components,
 )
+from boreltype.decomposition import prime_sort_key
 from boreltype.errors import ZeroModuleError
 
 from .support import (
@@ -100,6 +102,42 @@ class TestIrreducibleDecomposition:
             for r in rest:
                 meet = meet.intersect(r)
             assert meet != ideal or not rest
+
+
+class TestTrustedValues:
+    """irreducible_decomposition, IrreducibleComponent.radical and
+    cyclic_associated_primes build their values without the validating
+    constructors; each value must equal, hash and sort like the validated
+    one, and the sequences must come in the validated order."""
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=120)
+    def test_values_match_the_validating_constructors(self, data):
+        n = data.draw(st.integers(1, 5))
+        ideal = _ideal(n, data.draw(raw_ideals(n)))
+        comps = irreducible_decomposition(ideal)
+        validated = [IrreducibleComponent(n, c.bounds) for c in comps]
+        assert list(comps) == validated
+        assert [hash(c) for c in comps] == [hash(c) for c in validated]
+        assert sorted(comps[::-1]) == validated == sorted(validated)
+        for c, v in zip(comps, validated):
+            assert type(c) is IrreducibleComponent and c.nvars == n
+            assert c.to_ideal() == v.to_ideal() == MonomialIdeal(
+                n,
+                [Monomial(tuple(e if j == i else 0 for j in range(1, n + 1)))
+                 for i, e in v.bounds],
+            )
+            radical = MonomialPrime(n, tuple(i for i, _ in v.bounds))
+            assert c.radical() == radical and hash(c.radical()) == hash(radical)
+        primes = cyclic_associated_primes(ideal)
+        validated_primes = [MonomialPrime(n, p.variables) for p in primes]
+        assert list(primes) == validated_primes
+        assert [hash(p) for p in primes] == [hash(p) for p in validated_primes]
+        assert all(type(p) is MonomialPrime and p.nvars == n for p in primes)
+        assert validated_primes == sorted(
+            {MonomialPrime(n, tuple(i for i, _ in c.bounds)) for c in validated},
+            key=prime_sort_key,
+        )
 
 
 def _ideal(nvars, gens):

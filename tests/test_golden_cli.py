@@ -1,10 +1,12 @@
 """Pinned command output: `check`, `chain`, `reg`, `filtration`, `analyze` and
 `betti` on a few fixed modules must print exactly the bytes stored in
-golden_cli.json.
+golden_cli.json, and a few seeded `fuzz` corpora must print stdout with the
+sha256 digest and exit with the code stored in golden_fuzz.json.
 
 Criterion 9 compares reruns of the same code, so it cannot see a change
-that alters every run alike; this file can.  After an intended output
-change, regenerate the expectations with
+that alters every run alike; this file can.  The fuzz digests cover hundreds
+of modules, so a kernel rewrite that claims identical output is checked on
+every run.  After an intended output change, regenerate both files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -14,6 +16,7 @@ and review the diff of golden_cli.json.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -23,7 +26,9 @@ import pytest
 
 from boreltype.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden_cli.json")
+GOLDEN_FUZZ = os.path.join(HERE, "golden_fuzz.json")
 
 MODULES = {
     # strongly stable, two chain steps: (x1, x2) then (x1)
@@ -99,24 +104,50 @@ CASES = [
 ]
 
 
+# fuzz runs pinned by digest: random modules in four variables (one of them
+# not sequentially CM, so the run exits 2), strongly stable ones in four, and
+# one strongly stable ideal in eight variables, where the Betti oracle ranks
+# over a thousand distinct Koszul complexes
+FUZZ_CASES = (
+    ("--seed", "5", "--count", "200", "--gen", "random", "--vars", "4", "--maxdeg", "4"),
+    ("--seed", "3", "--count", "60", "--gen", "borel", "--vars", "4", "--maxdeg", "4"),
+    ("--count", "1", "--gen", "borel", "--vars", "8", "--maxdeg", "3"),
+)
+
+
 def case_id(command, name, options) -> str:
     return " ".join((command, name, *options))
 
 
-def run_case(command, name, options) -> dict:
+def _run(argv) -> tuple[int, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_case(command, name, options) -> dict:
     stdin = sys.stdin
     sys.stdin = io.StringIO(MODULES[name])
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, "-", *options])
+        code, stdout, stderr = _run([command, "-", *options])
     finally:
         sys.stdin = stdin
-    return {"exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    return {"exit_code": code, "stdout": stdout, "stderr": stderr}
 
 
-def _expected() -> dict:
-    with open(GOLDEN, encoding="utf-8") as handle:
+def fuzz_id(options) -> str:
+    return " ".join(("fuzz", *options))
+
+
+def run_fuzz(options) -> dict:
+    code, stdout, stderr = _run(["fuzz", *options])
+    digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    return {"exit_code": code, "stdout_sha256": digest, "stderr": stderr}
+
+
+def _expected(path=GOLDEN) -> dict:
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
 
@@ -127,6 +158,15 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case_id(*case))
 def test_golden_output(case):
     assert run_case(*case) == _expected()[case_id(*case)]
+
+
+def test_golden_fuzz_covers_every_case():
+    assert sorted(_expected(GOLDEN_FUZZ)) == sorted(map(fuzz_id, FUZZ_CASES))
+
+
+@pytest.mark.parametrize("options", FUZZ_CASES, ids=fuzz_id)
+def test_golden_fuzz_output(options):
+    assert run_fuzz(options) == _expected(GOLDEN_FUZZ)[fuzz_id(options)]
 
 
 def test_golden_exercises_the_intended_paths():
@@ -155,6 +195,8 @@ def test_golden_exercises_the_intended_paths():
 
 if __name__ == "__main__":
     outputs = {case_id(*case): run_case(*case) for case in CASES}
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(outputs, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    fuzz = {fuzz_id(options): run_fuzz(options) for options in FUZZ_CASES}
+    for path, expected in ((GOLDEN, outputs), (GOLDEN_FUZZ, fuzz)):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(expected, handle, indent=1, sort_keys=True)
+            handle.write("\n")

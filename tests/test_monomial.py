@@ -154,6 +154,25 @@ class TestIdealNormalization:
         )
         assert ideal.gens_text() == ["x2*x3", "x1*x3^3", "x1*x2", "x1^2"]
 
+    def test_minimalization_compares_lower_degrees_only(self, monkeypatch):
+        # a divisor has lower degree, so tuples of one degree are never
+        # compared: the 120 cubics in eight variables need no exponent
+        # comparison, where testing each against every kept one makes 7140
+        compared = []
+
+        def counting_le(a, b):
+            compared.append((a, b))
+            return a <= b
+
+        monkeypatch.setattr(monomial_module, "le", counting_le)
+        cubics = [t for t in tuples_up_to(8, 3) if sum(t) == 3]
+        assert gens_of(ideal_of(8, cubics)) == raw_minimalize(cubics)
+        assert not compared
+        # x1 divides the 36 cubics in x1, found only by comparing
+        x1 = (1,) + (0,) * 7
+        assert gens_of(ideal_of(8, cubics + [x1])) == raw_minimalize(cubics + [x1])
+        assert compared
+
     @given(gens=raw_ideals(3), order=st.randoms(use_true_random=False))
     def test_order_independent(self, gens, order):
         shuffled = list(gens) + list(gens)
@@ -360,6 +379,56 @@ class TestTrustedKernel:
             gens_of(ideal), (1, 1, 0)
         )
 
+    @given(
+        gens=raw_ideals(3),
+        extra=raw_ideals(3, max_gens=2),
+        shift=exponent_tuples(3, 2),
+        relation=st.sampled_from(("drawn", "nested", "equal", "disjoint", "zero", "unit")),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_intersect_is_the_raw_meet(self, gens, extra, shift, relation):
+        # intersect keeps the generators that lie in the other operand and
+        # forms lcms only between the rest; in both orders the result must be
+        # the minimalized lcms of all pairs
+        if relation == "nested":
+            other = [raw_mul(g, shift) for g in gens]
+            other += [raw_mul(g, e) for g in gens for e in extra]
+        elif relation == "equal":
+            other = [raw_mul(g, shift) for g in gens] + gens[::-1]
+        elif relation == "disjoint":
+            gens = [(a + 1, b, 0) for a, b, _ in gens]
+            other = [(0, 0, c + 1) for *_, c in extra]
+        else:
+            other = {"drawn": extra, "zero": [], "unit": [(0, 0, 0)]}[relation]
+        ideal, partner = ideal_of(3, gens), ideal_of(3, other)
+        for a, b, gens_a, gens_b in (
+            (ideal, partner, gens, other),
+            (partner, ideal, other, gens),
+        ):
+            meet = a.intersect(b)
+            assert gens_of(meet) == raw_meet(gens_a, gens_b)
+            rebuilt = MonomialIdeal(3, meet.gens)
+            assert meet == rebuilt and hash(meet) == hash(rebuilt)
+
+    @given(gens=raw_ideals(3), extra=raw_ideals(3, max_gens=2), shift=exponent_tuples(3, 2))
+    @settings(deadline=None, max_examples=150)
+    def test_intersect_returns_the_contained_operand(self, gens, extra, shift):
+        # small lies in ideal, which lies in big; each meet is the smaller
+        # operand itself, in either order, with no new ideal built (the
+        # first operand when the two are equal)
+        ideal = ideal_of(3, gens)
+        small = ideal_of(3, [raw_mul(g, shift) for g in gens])
+        big = ideal_of(3, gens + extra)
+        equal = ideal_of(3, gens + [raw_mul(g, shift) for g in gens])
+        zero, unit = MonomialIdeal.zero(3), MonomialIdeal.unit(3)
+        pairs = ((small, ideal), (ideal, big), (small, big), (zero, ideal), (ideal, unit))
+        for inner, outer in pairs:
+            assert outer.contains(inner)
+            assert inner.intersect(outer) is inner
+            assert outer.intersect(inner) is (outer if outer == inner else inner)
+        assert equal == ideal and equal is not ideal
+        assert ideal.intersect(equal) is ideal and equal.intersect(ideal) is equal
+
     def test_saturation_changing_no_generator_returns_the_ideal(self):
         ideal = I(3, "x2^2", "x2*x3")
         # a memo hit returns the result stored for an equal ideal, which need
@@ -384,6 +453,10 @@ class TestTrustedKernel:
         _saturate_monomial.cache_clear()
         assert ideal.saturate(other) == cached
         assert gens_of(cached) == raw_saturation(gens, sat)
+        if len(other.gens) == 1:
+            # by a principal ideal: the memo's entry at the generator's support
+            support = tuple(i for i, e in enumerate(other.exps[0], 1) if e)
+            assert ideal.saturate(other) is _saturate_monomial(ideal, support)
 
     @given(
         gens=st.one_of(raw_ideals(3), st.just([]), st.just([(0, 0, 0)])),
