@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .decomposition import MonomialPrime, associated_primes, prime_sort_key
 from .errors import InternalInconsistencyError, NotBorelTypeError, ZeroModuleError
-from .monomial import Monomial, MonomialIdeal, monomials_of_degree, trusted_monomial
+from .monomial import Monomial, MonomialIdeal, monomials_of_degree
 from .subquotient import Subquotient
 
 # largest degree of the sample monomials u in torsion_identity_report
@@ -130,7 +130,7 @@ def ideal_is_borel_type(ideal: MonomialIdeal) -> bool:
             for i in range(j):
                 moved = list(u)
                 moved[i], moved[j] = u[i] + tops[i], 0
-                if not ideal.member(trusted_monomial(tuple(moved))):
+                if not ideal._member_exps(tuple(moved)):
                     return False
     return True
 
@@ -171,7 +171,7 @@ def is_strongly_stable_ideal(ideal: MonomialIdeal) -> bool:
                 moved = list(u)
                 moved[i] -= 1
                 moved[j] += 1
-                if not ideal.member(trusted_monomial(tuple(moved))):
+                if not ideal._member_exps(tuple(moved)):
                     return False
     return True
 

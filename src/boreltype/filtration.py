@@ -41,7 +41,7 @@ of the reduced chain quotients.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import le
@@ -148,12 +148,12 @@ def _stanley_witnesses(
         for j in range(r, n):
             while e[j]:
                 lower = e[:j] + (e[j] - 1,) + e[j + 1 :]
-                if not target.member(trusted_monomial(lower)):
+                if not target._member_exps(lower):
                     break
                 e = lower
         return e
 
-    frontier = [e for e in target.exps if not lowered.member(trusted_monomial(e))]
+    frontier = [e for e in target.exps if not lowered._member_exps(e)]
     waiting = dict.fromkeys(frontier, 0)  # W, with each one's unplaced owners
     dependents = defaultdict(list)
     while frontier:
@@ -161,11 +161,10 @@ def _stanley_witnesses(
         for i in range(r):
             up = e[:i] + (e[i] + 1,) + e[i + 1 :]
             if up not in waiting:
-                m = trusted_monomial(up)
-                if not lowered.member(m):
+                if not lowered._member_exps(up):
                     waiting[up] = 0
                     frontier.append(up)
-                elif r == n or start.member(m):  # for r = n, lowered is C0
+                elif r == n or start._member_exps(up):  # for r = n, lowered is C0
                     continue
                 else:
                     up = owner(up)
@@ -279,17 +278,19 @@ def filtration_length_report(
     the vector-space dimension of the reduced chain quotient.
 
     The dimensions come from reduced_hilbert, which counts the monomials of
-    each reduced quotient L/D over the box of D's largest exponents
-    (Subquotient.artinian_hilbert).  That walk starts at 1 and tests
-    membership in L, while the builder walks up from the target's generators
-    with its own Stanley-space bookkeeping, so the report stays an
-    independent check of the builder."""
+    each reduced quotient L/D by x_n-columns over the box of D's largest
+    exponents (Subquotient.artinian_hilbert).  That count starts at 1 and
+    reads each column's ends off the generators of L and D, while the
+    builder walks up from the target's generators with its own Stanley-space
+    bookkeeping, so the report stays an independent check of the builder.
+    The factors at each prime are counted in one pass over the steps."""
+    factors = Counter(s.prime for s in filtration.steps)
     entries = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):
         prime = MonomialPrime(
             chain.base.nvars, tuple(range(1, step.variable_index + 1))
         )
-        count = sum(1 for s in filtration.steps if s.prime == prime)
+        count = factors[prime]
         dimension = sum(values)
         entries.append(
             {

@@ -11,9 +11,11 @@ operation is a pure function, which makes all of them safe to share between
 threads.
 
 Exponents are validated once, at the public boundaries: ``Monomial(...)``,
-``monomial_from_text`` and the type and variable-count checks of
-``MonomialIdeal(...)``.  Results of internal operations (products, quotients,
-lcms, saturations, box walks) are built from exponent tuples that are valid by
+``monomial_from_text``, the type and variable-count checks of
+``MonomialIdeal(...)`` and the variable-count check of ``member``, whose
+tuple test ``_member_exps`` the package calls directly on tuples it
+computed.  Results of internal operations (products, quotients, lcms,
+saturations, box walks) are built from exponent tuples that are valid by
 construction and skip that validation; only the variable counts of the
 operands are still compared, so that no operation truncates silently.  The
 ideal results of ``add``, ``multiply``, ``intersect``, ``colon_monomial`` and
@@ -323,12 +325,20 @@ class MonomialIdeal:
             )
 
     def member(self, m: Monomial) -> bool:
+        """Whether m lies in the ideal: the validating boundary of the tuple
+        test ``_member_exps``, which checks m's variable count first."""
         exps = m.exps
         if len(exps) != self.nvars:
             raise DimensionMismatchError(
                 f"a monomial over {len(exps)} variables tested in a "
                 f"{self.nvars}-variable ideal"
             )
+        return self._member_exps(exps)
+
+    def _member_exps(self, exps: tuple[int, ...]) -> bool:
+        """Whether the monomial with these exponents lies in the ideal: some
+        generator divides it.  Unchecked, for tuples of length nvars computed
+        inside the package, which need no ``Monomial`` around them."""
         for e in self.exps:
             if all(map(le, e, exps)):
                 return True
@@ -408,8 +418,7 @@ class MonomialIdeal:
                 f"{self.nvars}-variable ideal"
             )
         return _ideal_from_exps(
-            self.nvars,
-            {tuple(e - f if e > f else 0 for e, f in zip(m, b)) for m in self.exps},
+            self.nvars, {tuple(map(sub, map(max, m, b), b)) for m in self.exps}
         )
 
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":

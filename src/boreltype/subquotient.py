@@ -10,6 +10,7 @@ machinery depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 from .errors import DimensionMismatchError, NotArtinianError, ZeroModuleError
@@ -17,7 +18,6 @@ from .monomial import (
     MonomialIdeal,
     _ideal_from_exps,
     monomials_of_degree,
-    trusted_monomial,
 )
 
 
@@ -104,7 +104,7 @@ class Subquotient:
         den = self.denominator
         bounds = den.max_exponents()
         return all(
-            den.member(trusted_monomial(g[:i] + (e + b,) + g[i + 1 :]))
+            den._member_exps(g[:i] + (e + b,) + g[i + 1 :])
             for g in self.numerator.exps
             for i, (e, b) in enumerate(zip(g, bounds))
         )
@@ -125,11 +125,11 @@ class Subquotient:
         if not self.is_artinian():
             return None
         corners = (
-            trusted_monomial(tuple(e - 1 for _, e in comp.bounds))
+            tuple(e - 1 for _, e in comp.bounds)
             for comp in irreducible_decomposition(self.denominator)
             if len(comp.bounds) == self.nvars
         )
-        return max(c.degree for c in corners if self.numerator.member(c))
+        return max(sum(c) for c in corners if self.numerator._member_exps(c))
 
     def artinian_hilbert(self, ceiling=None) -> list[int]:
         """The Hilbert function in degrees 0..top, for Artinian modules; its
@@ -139,15 +139,17 @@ class Subquotient:
         Artinian, or whose top degree passes the ceiling, is reported as not
         Artinian within it.
 
-        The monomials of L outside D are then counted by degree over the box
-        e_i < b_i, sum e <= top, b = D.max_exponents(), not over every
+        The monomials of L outside D are then counted by x_n-columns over the
+        box e_i < b_i, sum e <= top, b = D.max_exponents(), not over every
         monomial of each degree 0..top.  No monomial of L outside D leaves the
         box: if u is outside D and u_i >= b_i, a generator of D dividing
         x_i u would divide u, so x_i u is outside D too, and u in L would
-        start an infinite x_i-string in L/D.  The box is walked raising one
-        exponent at a time in increasing position, and a point in D ends the
-        walk above it, as every multiple of it lies in D.  The walk starts at
-        1, not at L's generators, so it is not the filtration builder's walk.
+        start an infinite x_i-string in L/D.  _box_columns walks the first
+        n - 1 exponents from 1 and reads each column from the generators that
+        divide it on those exponents, so no membership test runs per
+        monomial; the walk starts at 1, not at L's generators, so it is not
+        the filtration builder's walk.  Its cost grows with the number of
+        columns, not with the module's length.
         """
         top = self.top_degree()
         bound = self.numerator.max_gen_degree()
@@ -159,22 +161,62 @@ class Subquotient:
                 f"Hilbert function does not vanish up to degree {ceiling}; "
                 "not Artinian within the ceiling"
             )
-        values = [0] * (top + 1)
-        bounds = self.denominator.max_exponents()
-
-        def walk(exps, k, degree):
-            # exps lies outside D and is zero from position k on
-            if self.numerator.member(trusted_monomial(exps)):
-                values[degree] += 1
-            for i in range(k, len(exps)):
-                for e in range(1, min(bounds[i], top - degree + 1)):
-                    up = exps[:i] + (e,) + exps[i + 1 :]
-                    if self.denominator.member(trusted_monomial(up)):
-                        break
-                    walk(up, i + 1, degree + e)
-
-        walk((0,) * self.nvars, 0, 0)
-        return values
+        # steps[d] = values[d] - values[d - 1]: a column adds one to every
+        # degree of a run, so it changes two steps
+        steps = [0] * (top + 2)
+        columns = _box_columns(
+            self.numerator.exps, self.denominator.exps, self.denominator.max_exponents(), top
+        )
+        for prefix, low, high in columns:
+            if low < high:
+                degree = sum(prefix)
+                steps[degree + low] += 1
+                steps[degree + high] -= 1
+        return list(accumulate(steps[:-1]))
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
+
+
+def _box_columns(num, den, bounds, top):
+    """Yield (prefix, low, high) for each x_n-column the Hilbert count reads:
+    prefix the exponents of x1..x_{n-1}, a monomial inside the box e_i < b_i,
+    of degree at most top and outside D; the column's monomials prefix x_n^t
+    inside the box and of degree at most top are outside D exactly for
+    t < high, and in L exactly for t >= low.
+
+    The walk fixes one exponent at a time, from x1, and carries the
+    generators of L and of D that divide the prefix on the exponents fixed so
+    far, dropping one at its first exponent above the prefix, as
+    betti._koszul_walk carries its generators.  A carried generator of D
+    whose later exponents are all zero divides the prefix itself, and every
+    larger exponent, so the least such exponent ends the walk at that
+    position.  At the last position every carried generator ends there: the
+    column leaves D at the least x_n-exponent of the carried generators of
+    D, capped by the box and by top - degree + 1, and enters L at the least
+    x_n-exponent of the carried generators of L.
+    """
+    last = len(bounds) - 1
+    ends = {g: max(i for i, e in enumerate(g) if e) for g in den}
+
+    def stop(i, degree, den):
+        return min(
+            bounds[i], top - degree + 1, *(g[i] for g in den if ends[g] == i)
+        )
+
+    def walk(i, prefix, degree, num, den):
+        if i == last:
+            low = min((g[i] for g in num), default=top + 1)
+            yield prefix, low, stop(i, degree, den)
+            return
+        for e in range(stop(i, degree, den)):
+            yield from walk(
+                i + 1,
+                prefix + (e,),
+                degree + e,
+                [g for g in num if g[i] <= e],
+                [g for g in den if g[i] <= e],
+            )
+
+    yield from walk(0, (), 0, num, den)
+

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from boreltype import subquotient as subquotient_module
 from boreltype import (
     Monomial,
     MonomialIdeal,
@@ -245,7 +246,8 @@ class TestTopDegree:
     @given(data=st.data())
     @settings(deadline=None, max_examples=150)
     def test_matches_degree_scan(self, data):
-        M = data.draw(modules(max_vars=3))
+        # modules() draws L != S for about half of its modules
+        M = data.draw(modules(min_vars=1, max_vars=5))
         artinian = data.draw(st.booleans())
         if artinian:
             # pure powers of every variable make the quotient Artinian
@@ -306,39 +308,56 @@ class TestTopDegree:
                 assert reduced.artinian_hilbert(ceiling) == expected
 
     @pytest.mark.parametrize(
-        "nvars, gens, top, box, scanned",
+        "nvars, numerator, gens, top, outside, box, scanned",
         [
             # the box 5^3 holds all 125 monomials outside D, all of degree
             # <= 12, while a degree scan tests all 455 monomials of those degrees
-            (3, ("x1^5", "x2^5", "x3^5"), 12, 125, 455),
+            (3, None, ("x1^5", "x2^5", "x3^5"), 12, 125, 125, 455),
             # the box 40^2 holds 1600 points, but only the 820 of degree
-            # <= 39 can lie outside D; the degree scan tests those 820 too
-            (2, ("x1^40", "x2^40", "x1*x2"), 39, 820, 820),
+            # <= 39 can lie outside D, and 79 do; the degree scan tests all 820
+            (2, None, ("x1^40", "x2^40", "x1*x2"), 39, 79, 820, 820),
+            # (x2)/(x1*x2, x2^2, x2*x3): no generator of D is a power of x1 or
+            # x3, so the box 1 x 2 x 1, not D or the top degree 1, ends the
+            # walk in x1 and the column over 1
+            (3, ("x2",), ("x1*x2", "x2^2", "x2*x3"), 1, 2, 2, 4),
         ],
     )
     def test_counts_within_the_box_below_the_top_degree(
-        self, monkeypatch, nvars, gens, top, box, scanned
+        self, monkeypatch, nvars, numerator, gens, top, outside, box, scanned
     ):
-        M = Subquotient.cyclic(I(nvars, *gens))
-        bounds = M.denominator.max_exponents()
+        D = I(nvars, *gens)
+        M = Subquotient(I(nvars, *numerator), D) if numerator else Subquotient.cyclic(D)
+        bounds = D.max_exponents()
         assert scanned == sum(len(monomials_of_degree(nvars, d)) for d in range(top + 1))
-        # the Artinian test probes x_i^{b_i} times the generator 1 of L = S
-        probes = {
-            tuple(b if j == i else 0 for j in range(nvars)) for i, b in enumerate(bounds)
-        }
-        visited = set()
-        original = MonomialIdeal.member
+        # record the columns the count reads: (prefix on x1..x_{n-1}, low, high)
+        columns = []
+        original = subquotient_module._box_columns
 
-        def counted(self, m):
-            visited.add(m.exps)
-            return original(self, m)
+        def recording(*args):
+            for column in original(*args):
+                columns.append(column)
+                yield column
 
-        monkeypatch.setattr(MonomialIdeal, "member", counted)
+        monkeypatch.setattr(subquotient_module, "_box_columns", recording)
         values = M.artinian_hilbert()
         monkeypatch.undo()
         assert values == [hilbert_function(M, d) for d in range(top + 1)]
-        points = visited - probes
-        assert len(points) <= box
-        assert all(
-            sum(e) <= top and all(x < b for x, b in zip(e, bounds)) for e in points
+        assert columns
+        for prefix, _, high in columns:
+            assert all(e < b for e, b in zip(prefix, bounds)) and high <= bounds[-1]
+            assert sum(prefix) + max(high - 1, 0) <= top
+        # the points each column reads as outside D
+        points = {prefix + (t,) for prefix, _, high in columns for t in range(high)}
+        assert len(points) == outside <= box
+
+    def test_six_variable_module_counts_its_closed_form(self):
+        # S/(x1^8, x1^7*x2, x2^8, x3^8..x6^8): 57 standard monomials in x1, x2
+        # times 8^4 in x3..x6, up to the corner x1^6*x2^7*(x3..x6)^7
+        M = Subquotient.cyclic(
+            I(6, "x1^8", "x1^7*x2", "x2^8", "x3^8", "x4^8", "x5^8", "x6^8")
         )
+        values = M.artinian_hilbert(41)
+        assert sum(values) == 233_472 == 57 * 8**4
+        assert len(values) == 42 and values[0] == values[41] == 1
+        with pytest.raises(NotArtinianError, match="vanish up to degree 40;"):
+            M.artinian_hilbert()
