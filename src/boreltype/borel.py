@@ -176,11 +176,10 @@ def is_strongly_stable_ideal(ideal: MonomialIdeal) -> bool:
     return True
 
 
-def truncation_stability_degree(module: Subquotient, e_max=None):
+def truncation_stability_degree(module: Subquotient):
     """Least e whose truncation M_{>=e} is strongly stable, or None when there
-    is none or it passes the cap e_max.  The degree is computed in closed form,
-    so it needs no cap: with e_max None (the default) every finite degree is
-    reported, and an explicit e_max only caps what is reported.
+    is none.  The degree is computed in closed form, so no truncation is
+    scanned and every finite degree is returned, however large.
 
     A strongly stable truncation forces the module itself to be of Borel type;
     finding one for a non-Borel module is an implementation defect and raises.
@@ -200,16 +199,12 @@ def truncation_stability_degree(module: Subquotient, e_max=None):
     monomials span (K_i + K_j)/K_j, so each pair with K_j not containing K_i
     needs e = 1 + its top degree, and no e exists when it is not Artinian.
     """
-    if e_max is not None and e_max < 0:
-        raise ValueError("e_max must be nonnegative")
     e = 0
     for k_i, k_j in _unstable_pairs(module):
         top = Subquotient(k_i.add(k_j), k_j).top_degree()
         if top is None:
             return None
         e = max(e, top + 1)
-    if e_max is not None and e > e_max:
-        return None
     if not borel_verdict(module).is_borel:
         raise InternalInconsistencyError(
             f"truncation at degree {e} of {module} is strongly stable "

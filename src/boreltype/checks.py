@@ -66,7 +66,6 @@ DEFAULT_CEILING = 40
 
 @dataclass(frozen=True)
 class CheckOptions:
-    e_max: int | None = None
     ceiling: int = DEFAULT_CEILING
     oracle_guard: int = DEFAULT_ORACLE_GUARD
     field: str = "q"
@@ -75,7 +74,6 @@ class CheckOptions:
         """The options as a report records them, in field order; a shallow
         dict, where asdict would deep-copy every value on each run."""
         return {
-            "e_max": self.e_max,
             "ceiling": self.ceiling,
             "oracle_guard": self.oracle_guard,
             "field": self.field,
@@ -133,7 +131,7 @@ def _run_all(module, options, route, report):
     borel = verdict.is_borel
     # raises InternalInconsistencyError when a stable truncation contradicts
     # a non-Borel verdict; M_{>=0} = M, so degree 0 decides strong stability
-    e_found = truncation_stability_degree(module, options.e_max)
+    e_found = truncation_stability_degree(module)
     stable_now = e_found == 0
     ideal = module.denominator
     zero = "zero module" if module.is_zero() else None

@@ -2,8 +2,10 @@
 
 Subcommands: analyze, chain, reg, betti, filtration, check, fuzz.  Every
 report is a JSON object printed to stdout (and optionally written to a file
-with --json); reports carry the options that produced them and contain no
-timestamps, so identical invocations produce identical bytes.
+with --json); reports contain no timestamps, so identical invocations
+produce identical bytes.  COMMANDS names the options each command reads:
+its parser offers only those, refusing any other as a usage error (exit 3),
+and its report's options block lists exactly those, so analyze reports {}.
 
 chain, reg, filtration and check reach the chain through chain.prepare, which
 refuses in order the zero module, a non-Borel module (check: not applicable),
@@ -40,15 +42,7 @@ from .checks import (
     run_check,
 )
 from .decomposition import associated_primes, krull_dim, minimal_primes
-from .errors import (
-    GuardExceededError,
-    InternalInconsistencyError,
-    NotArtinianError,
-    NotBorelTypeError,
-    NotSequentiallyCMError,
-    ParseError,
-    ZeroModuleError,
-)
+from .errors import AlgebraError, InternalInconsistencyError, NotArtinianError
 from .filtration import (
     filtration_length_report,
     pretty_clean_filtration,
@@ -61,12 +55,52 @@ from .subquotient import Subquotient
 
 
 def nonnegative_int(text: str) -> int:
-    """The argparse type of --emax, --ceiling and --oracle-guard; argparse
-    names the flag when it refuses a value, and main exits 3."""
+    """The argparse type of --ceiling and --oracle-guard; argparse names the
+    flag when it refuses a value, and main exits 3."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+# each option's argparse keywords, keyed by its CheckOptions field, whose
+# name with dashes for underscores is the flag
+OPTIONS = {
+    "ceiling": dict(
+        type=nonnegative_int,
+        default=DEFAULT_CEILING,
+        help="largest reduced top degree, raised at each chain step to the largest "
+        f"generator degree of its ideal; refused before any scan (default {DEFAULT_CEILING})",
+    ),
+    "oracle_guard": dict(
+        type=nonnegative_int,
+        default=DEFAULT_ORACLE_GUARD,
+        help=f"largest multidegree box the Betti oracle will enumerate (default {DEFAULT_ORACLE_GUARD})",
+    ),
+    "field": dict(
+        choices=("q", "f2"),
+        default="q",
+        help="coefficient field for homology ranks: rationals or two elements",
+    ),
+}
+
+# each command's help and the options it reads: the parser offers it only
+# these, and its report's options block lists exactly these
+COMMANDS = {
+    "analyze": ("Borel verdict, primes, dimension", ()),
+    "chain": ("sequential chain of a Borel-type module", ("ceiling",)),
+    "reg": ("regularity, dimension, depth via the chain", ("ceiling",)),
+    "betti": ("brute-force Betti table of S/I", ("oracle_guard", "field")),
+    "filtration": ("pretty clean prime filtration", ("ceiling",)),
+    "check": (
+        "run every applicable cross-check",
+        ("ceiling", "oracle_guard", "field"),
+    ),
+    "fuzz": (
+        "generate a seeded corpus and cross-check every instance",
+        ("ceiling", "oracle_guard", "field"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,58 +111,23 @@ def build_parser() -> argparse.ArgumentParser:
         "Betti numbers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_file: bool = True) -> None:
-        if with_file:
+    parsers = {}
+    for command, (help_text, names) in COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=help_text)
+        if command != "fuzz":
             p.add_argument("file", help="module file path, or - for stdin")
-        p.add_argument(
-            "--emax",
-            type=nonnegative_int,
-            default=None,
-            help="cap on the reported least stable truncation degree, which reads null "
-            "past it (default: no cap; the degree is computed in closed form)",
-        )
-        p.add_argument(
-            "--ceiling",
-            type=nonnegative_int,
-            default=DEFAULT_CEILING,
-            help="largest reduced top degree, raised at each chain step to the largest "
-            f"generator degree of its ideal; refused before any scan (default {DEFAULT_CEILING})",
-        )
-        p.add_argument(
-            "--oracle-guard",
-            dest="oracle_guard",
-            type=nonnegative_int,
-            default=DEFAULT_ORACLE_GUARD,
-            help=f"largest multidegree box the Betti oracle will enumerate (default {DEFAULT_ORACLE_GUARD})",
-        )
-        p.add_argument(
-            "--field",
-            choices=("q", "f2"),
-            default="q",
-            help="coefficient field for homology ranks: rationals or two elements",
-        )
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), **OPTIONS[name])
         p.add_argument(
             "--json",
             dest="json_path",
             default=None,
             help="also write the JSON report to this path",
         )
-
-    common(sub.add_parser("analyze", help="Borel verdict, primes, dimension"))
-    common(sub.add_parser("chain", help="sequential chain of a Borel-type module"))
-    common(sub.add_parser("reg", help="regularity, dimension, depth via the chain"))
-    betti_parser = sub.add_parser("betti", help="brute-force Betti table of S/I")
-    common(betti_parser)
-    betti_parser.add_argument(
+    parsers["betti"].add_argument(
         "--csv", default=None, help="also write the Betti entries to this CSV path"
     )
-    common(sub.add_parser("filtration", help="pretty clean prime filtration"))
-    common(sub.add_parser("check", help="run every applicable cross-check"))
-    fuzz_parser = sub.add_parser(
-        "fuzz", help="generate a seeded corpus and cross-check every instance"
-    )
-    common(fuzz_parser, with_file=False)
+    fuzz_parser = parsers["fuzz"]
     fuzz_parser.add_argument("--seed", type=int, default=0)
     fuzz_parser.add_argument("--count", type=int, default=10)
     fuzz_parser.add_argument("--gen", choices=GENERATORS, default="borel")
@@ -304,12 +303,8 @@ _HANDLERS = {
 
 
 def _dispatch(args) -> tuple[dict, int]:
-    options = CheckOptions(
-        e_max=args.emax,
-        ceiling=args.ceiling,
-        oracle_guard=args.oracle_guard,
-        field=args.field,
-    )
+    read = {name: getattr(args, name) for name in COMMANDS[args.command][1]}
+    options = CheckOptions(**read)
     if args.command == "fuzz":
         report, code = _cmd_fuzz(args, options)
     else:
@@ -320,7 +315,7 @@ def _dispatch(args) -> tuple[dict, int]:
             report, code = _HANDLERS[args.command](module, options)
         report["input_path"] = args.file
     report["command"] = args.command
-    report["options"] = options.to_json()
+    report["options"] = read
     return report, code
 
 
@@ -336,17 +331,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (
-        ParseError,
-        ValueError,
-        OverflowError,
-        ZeroModuleError,
-        NotBorelTypeError,
-        NotArtinianError,
-        NotSequentiallyCMError,
-        GuardExceededError,
-        OSError,
-    ) as exc:
+    except (AlgebraError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

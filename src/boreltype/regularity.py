@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import SequentialChain, prepare, reduced_hilbert, require_sequentially_cm
+from .chain import prepare, reduced_hilbert, require_sequentially_cm
 from .subquotient import Subquotient
 
 
@@ -33,7 +33,6 @@ class RegularityReport:
     dim: int
     depth: int
     steps: tuple[RegularityStep, ...]
-    chain: SequentialChain
 
     def to_json(self) -> dict:
         return {
@@ -68,6 +67,5 @@ def regularity(module: Subquotient, ceiling=None) -> RegularityReport:
         dim=n - chain.steps[-1].variable_index,
         depth=n - chain.steps[0].variable_index,
         steps=tuple(steps),
-        chain=chain,
     )
 

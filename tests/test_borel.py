@@ -208,14 +208,29 @@ class TestStronglyStable:
         assert closed.contains(J)
 
 
+def assert_least_degree_matches_scan(M, scan_to=6):
+    """Subquotient.truncate is the oracle: a degree the scan over e <= scan_to
+    finds is the least degree, and a scan that finds none leaves the degree
+    None or past scan_to."""
+    found = next(
+        (e for e in range(scan_to + 1) if is_strongly_stable_module(M.truncate(e))),
+        None,
+    )
+    degree = truncation_stability_degree(M)
+    if found is not None:
+        assert degree == found, M
+    else:
+        assert degree is None or degree > scan_to, (M, degree)
+
+
 class TestTruncationCriterion:
     def test_golden(self):
         M = Subquotient.cyclic(I(2, "x1^2", "x1*x2"))
-        assert truncation_stability_degree(M, 4) == 0
+        assert truncation_stability_degree(M) == 0
 
     def test_absent_for_non_borel(self):
         M = Subquotient.cyclic(I(2, "x2"))
-        assert truncation_stability_degree(M, 4) is None
+        assert truncation_stability_degree(M) is None
 
     def test_zero_module(self):
         M = Subquotient(I(2, "x1"), I(2, "x1"))
@@ -247,16 +262,11 @@ class TestTruncationCriterion:
         assert not is_strongly_stable_module(M.truncate(1))
         assert is_strongly_stable_module(M.truncate(2))
         assert truncation_stability_degree(M) == 2
-        assert truncation_stability_degree(M, 1) is None
 
-    @given(M=modules(max_vars=3), e_max=st.integers(0, 6))
+    @given(M=modules(max_vars=3))
     @settings(deadline=None, max_examples=60)
-    def test_least_degree_matches_truncated_modules(self, M, e_max):
-        expected = next(
-            (e for e in range(e_max + 1) if is_strongly_stable_module(M.truncate(e))),
-            None,
-        )
-        assert truncation_stability_degree(M, e_max) == expected
+    def test_least_degree_matches_truncated_modules(self, M):
+        assert_least_degree_matches_scan(M)
 
     def test_least_degree_matches_truncated_modules_in_four_variables(self):
         corpus = [
@@ -273,12 +283,7 @@ class TestTruncationCriterion:
             (Subquotient(I(4, "x1"), I(4, "x1*x2", "x1*x3", "x1*x4", "x1^3")), 2),
         ]
         for M in corpus + [M for M, _ in positive]:
-            least = next(
-                (e for e in range(7) if is_strongly_stable_module(M.truncate(e))), None
-            )
-            for e_max in range(7):
-                expected = least if least is not None and least <= e_max else None
-                assert truncation_stability_degree(M, e_max) == expected, (M, e_max)
+            assert_least_degree_matches_scan(M)
         assert [truncation_stability_degree(M) for M, _ in positive] == [
             e for _, e in positive
         ]
@@ -291,15 +296,21 @@ class TestTruncationCriterion:
         assert borel_verdict(M).is_borel
         assert not is_strongly_stable_module(M)
         assert truncation_stability_degree(M) is None
-        assert truncation_stability_degree(M, 50) is None
 
-    def test_stable_truncation_of_non_borel_verdict_raises(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "M, degree",
+        [
+            (Subquotient.cyclic(I(2, "x1^2", "x1*x2")), 0),
+            # a positive degree is checked against the verdict too
+            (Subquotient(I(2, "x1"), I(2, "x1*x2", "x1^3")), 2),
+        ],
+    )
+    def test_stable_truncation_of_non_borel_verdict_raises(self, monkeypatch, M, degree):
         import boreltype.borel as borel_module
 
-        M = Subquotient.cyclic(I(2, "x1^2", "x1*x2"))
         verdict = dataclasses.replace(borel_verdict(M), by_saturation=False)
         monkeypatch.setattr(borel_module, "borel_verdict", lambda module: verdict)
-        with pytest.raises(InternalInconsistencyError, match="degree 0"):
+        with pytest.raises(InternalInconsistencyError, match=f"degree {degree} "):
             truncation_stability_degree(M)
 
 

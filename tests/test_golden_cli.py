@@ -89,8 +89,6 @@ CASES = [
     ("check", "zero_cyclic", ()),
     ("check", "cyclic_borel", ("--oracle-guard", "1")),
     ("check", "cyclic_borel", ("--field", "f2")),
-    # the least stable truncation degree is 3, past the cap of 2
-    ("check", "cyclic_artinian", ("--emax", "2")),
     ("betti", "cyclic_borel", ()),
     ("betti", "cyclic_artinian", ()),
     ("betti", "non_borel", ()),
@@ -189,7 +187,6 @@ def test_golden_exercises_the_intended_paths():
 
     assert truncation("check borel_no_stable_truncation") == (True, None)
     assert truncation("check cyclic_artinian") == (True, 3)
-    assert truncation("check cyclic_artinian --emax 2") == (True, None)
     assert truncation("check fourth_powers") == (True, 9)
 
 

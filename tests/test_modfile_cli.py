@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import io
 import json
@@ -22,12 +23,28 @@ from boreltype import (
 from boreltype import chain as chain_module
 from boreltype import checks, cli
 from boreltype.cli import main
-from boreltype.errors import InternalInconsistencyError, NotArtinianError, ParseError
+from boreltype.errors import (
+    AlgebraError,
+    InternalInconsistencyError,
+    NotArtinianError,
+    ParseError,
+)
 
 from .support import modules
 from .test_golden_cli import MODULES
 
 CANONICAL = "vars: 2\nnumerator:\nunit\ndenominator:\nx1*x2\nx1^2\n"
+
+# the options each command reads, as the README's table lists them
+DECLARED_FLAGS = {
+    "analyze": (),
+    "chain": ("--ceiling",),
+    "reg": ("--ceiling",),
+    "betti": ("--oracle-guard", "--field"),
+    "filtration": ("--ceiling",),
+    "check": ("--ceiling", "--oracle-guard", "--field"),
+    "fuzz": ("--ceiling", "--oracle-guard", "--field"),
+}
 
 
 def I(nvars, *gens):
@@ -160,7 +177,7 @@ def run_cli(capsys, *argv):
 
 class TestCliCommands:
     def test_reports_record_every_option_in_field_order(self):
-        options = checks.CheckOptions(e_max=7, ceiling=12, oracle_guard=99, field="f2")
+        options = checks.CheckOptions(ceiling=12, oracle_guard=99, field="f2")
         expected = list(dataclasses.asdict(options).items())
         assert list(options.to_json().items()) == expected
         report, _ = checks.run_check(Subquotient.cyclic(I(2, "x1")), options)
@@ -450,15 +467,82 @@ class TestCliErrors:
         code, _, err = run_cli(capsys, "reg", str(path))
         assert code == 3 and "zero module" in err
 
-    @pytest.mark.parametrize("flag", ["--emax", "--ceiling", "--oracle-guard"])
     @pytest.mark.parametrize(
-        "command", ["analyze", "chain", "reg", "betti", "filtration", "check", "fuzz"]
+        "command, flag",
+        [
+            (command, flag)
+            for command, flags in DECLARED_FLAGS.items()
+            for flag in flags
+            if flag in ("--ceiling", "--oracle-guard")
+        ],
     )
     def test_negative_numeric_flag_is_refused(self, capsys, module_file, command, flag):
         argv = [command] if command == "fuzz" else [command, module_file]
         code, report, err = run_cli(capsys, *argv, flag, "-1")
         assert code == 3 and report is None
         assert f"argument {flag}: must be nonnegative, got -1" in err
+
+    def test_each_command_accepts_exactly_its_declared_flags(self):
+        subparsers = next(
+            action
+            for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        offered = {
+            command: {
+                flag
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help", "--json")
+            }
+            for command, parser in subparsers.choices.items()
+        }
+        extras = {
+            "betti": {"--csv"},
+            "fuzz": {"--seed", "--count", "--gen", "--vars", "--maxdeg"},
+        }
+        assert offered == {
+            command: set(flags) | extras.get(command, set())
+            for command, flags in DECLARED_FLAGS.items()
+        }
+        # the table the parser and the options block are built from
+        assert {
+            command: tuple("--" + name.replace("_", "-") for name in names)
+            for command, (_, names) in cli.COMMANDS.items()
+        } == DECLARED_FLAGS
+        settable = sum(len(offered[c] - extras.get(c, set())) for c in offered)
+        assert settable == 11
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, *([] if command == "fuzz" else ["-"]), flag, value]
+            for command, flags in DECLARED_FLAGS.items()
+            for flag, value in (
+                ("--ceiling", "5"),
+                ("--oracle-guard", "5"),
+                ("--field", "f2"),
+                ("--emax", "5"),
+            )
+            if flag not in flags
+        ],
+        ids=" ".join,
+    )
+    def test_undeclared_flag_is_a_usage_error(self, capsys, argv):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 3 and report is None
+        assert f"unrecognized arguments: {argv[-2]}" in err
+
+    @pytest.mark.parametrize("command", list(DECLARED_FLAGS))
+    def test_report_lists_the_options_its_command_read(self, capsys, module_file, command):
+        argv = ["fuzz", "--count", "1"] if command == "fuzz" else [command, module_file]
+        values = {"--ceiling": "12", "--oracle-guard": "99", "--field": "f2"}
+        for flag in DECLARED_FLAGS[command]:
+            argv += [flag, values[flag]]
+        _, report, _ = run_cli(capsys, *argv)
+        read = {"ceiling": 12, "oracle_guard": 99, "field": "f2"}
+        names = [flag[2:].replace("-", "_") for flag in DECLARED_FLAGS[command]]
+        assert report["options"] == {name: read[name] for name in names}
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3
@@ -503,6 +587,18 @@ class TestCliErrors:
         code, report, err = run_cli(capsys, "analyze", module_file)
         assert code == 2 and report is None
         assert "internal inconsistency" in err
+
+    @pytest.mark.parametrize(
+        "error", AlgebraError.__subclasses__(), ids=lambda error: error.__name__
+    )
+    def test_every_domain_error_has_one_exit(self, capsys, monkeypatch, module_file, error):
+        def handler(module, options):
+            raise error("forced for the test")
+
+        monkeypatch.setitem(cli._HANDLERS, "analyze", handler)
+        code, report, err = run_cli(capsys, "analyze", module_file)
+        assert report is None and "forced for the test" in err
+        assert code == (2 if error is InternalInconsistencyError else 3)
 
 
 # every function checks.py imports from the package, lru_cache wrappers too
