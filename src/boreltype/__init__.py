@@ -21,7 +21,6 @@ from .chain import (
     ChainStep,
     SequentialChain,
     build_chain,
-    chain_quotients,
     dimension_filtration_report,
     iterated_saturation_chain,
     sequential_cm_report,
@@ -94,7 +93,6 @@ __all__ = [
     "betti_table",
     "borel_verdict",
     "build_chain",
-    "chain_quotients",
     "cyclic_associated_primes",
     "dimension_filtration",
     "dimension_filtration_report",

@@ -5,6 +5,9 @@ whose torsion in the remaining quotient is nonzero, then cut at the torsion of
 the whole module at that variable.  For Borel-type modules the chain is the
 dimension filtration; its successive quotients become Artinian after reducing
 by the trailing variables, which is what the regularity formula consumes.
+Each ChainStep is built whole in build_chain: its index r and ideal L, the
+quotient L/L_prev, that quotient's reduction by x_{r+1}..x_n, its dimension
+n - r and its prime (x1..xr), so every reader takes all four from the step.
 
 Every reader of the chain's numbers refuses in one order: prepare refuses the
 zero module, a non-Borel module, a failed construction and a reduced top
@@ -15,11 +18,11 @@ that is not sequentially Cohen-Macaulay, on which those numbers do not hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .borel import require_borel
-from .decomposition import dimension_filtration, krull_dim
+from .decomposition import MonomialPrime, dimension_filtration, krull_dim
 from .errors import (
     InternalInconsistencyError,
     NotBorelTypeError,
@@ -29,7 +32,7 @@ from .errors import (
 from .monomial import Monomial, MonomialIdeal
 from .subquotient import Subquotient
 
-# Entries kept by each of the chain memos (build_chain, chain_quotients,
+# Entries kept by each of the three chain memos (build_chain,
 # reduced_hilbert, sequential_cm_report).  Their hits come from within
 # one module's analysis, where check and the chain readers ask again for the
 # same chain and its reports; unbounded, they kept every module of a run, and
@@ -39,8 +42,25 @@ CHAIN_MEMO_SIZE = 32
 
 @dataclass(frozen=True)
 class ChainStep:
+    """The step L/L_prev of the chain at x_r, with its quotient and that
+    quotient's Artinian reduction by x_{r+1}..x_n.  Equality and hash read
+    only r and L, which with the chain's base determine the rest."""
+
     variable_index: int
     ideal: MonomialIdeal
+    quotient: Subquotient = field(compare=False)
+    reduced: Subquotient = field(compare=False)
+
+    @property
+    def quotient_dim(self) -> int:
+        """The dimension n - r of the step quotient, read off the index."""
+        return self.quotient.nvars - self.variable_index
+
+    @property
+    def prime(self) -> MonomialPrime:
+        """The prime (x1..xr) of the step's filtration factors."""
+        n, r = self.quotient.nvars, self.variable_index
+        return MonomialPrime(n, tuple(range(1, r + 1)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +128,10 @@ def build_chain(module: Subquotient) -> SequentialChain:
                 f"chain ideal at x{index} does not strictly extend the previous "
                 f"one; {module} is not of Borel type"
             )
-        steps.append(ChainStep(index, lifted))
+        quotient = Subquotient(lifted, current)
+        steps.append(
+            ChainStep(index, lifted, quotient, quotient.artinian_reduction(index))
+        )
         current = lifted
         previous_index = index
     if not steps:
@@ -132,20 +155,6 @@ def prepare(module: Subquotient, command: str, ceiling) -> SequentialChain:
 
 
 @lru_cache(maxsize=CHAIN_MEMO_SIZE)
-def chain_quotients(chain: SequentialChain) -> tuple[tuple[Subquotient, ...], ...]:
-    """Per step: the quotient Q = L_step/L_prev and its Artinian reduction,
-    built here only.  Memoized like build_chain, since reduced_hilbert,
-    sequential_cm_report and the filtration builder read them for one chain."""
-    out = []
-    prev = chain.base.denominator
-    for step in chain.steps:
-        quotient = Subquotient(step.ideal, prev)
-        out.append((quotient, quotient.artinian_reduction(step.variable_index)))
-        prev = step.ideal
-    return tuple(out)
-
-
-@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def reduced_hilbert(
     chain: SequentialChain, ceiling=None
 ) -> tuple[tuple[int, ...], ...]:
@@ -156,22 +165,19 @@ def reduced_hilbert(
     report both read it for the same chain; tuples keep the shared value
     immutable.
     """
-    return tuple(
-        tuple(reduced.artinian_hilbert(ceiling))
-        for _, reduced in chain_quotients(chain)
-    )
+    return tuple(tuple(step.reduced.artinian_hilbert(ceiling)) for step in chain.steps)
 
 
-def _trailing_sequence_regular(quotient: Subquotient, r: int) -> bool:
+def _trailing_sequence_regular(step: ChainStep) -> bool:
     """Whether x_{r+1}, ..., x_n is a regular sequence on the step quotient L/D.
 
     Checks each variable in turn for being a nonzerodivisor on the quotient by
     the previously consumed ones: x is a nonzerodivisor on L/D exactly when
     (D : x) meet L sits inside D.
     """
-    n = quotient.nvars
-    top, denominator = quotient.numerator, quotient.denominator
-    for j in range(r + 1, n + 1):
+    n = step.quotient.nvars
+    top, denominator = step.quotient.numerator, step.quotient.denominator
+    for j in range(step.variable_index + 1, n + 1):
         x = Monomial.variable(j, n)
         if not denominator.contains(denominator.colon_monomial(x).intersect(top)):
             return False
@@ -183,20 +189,17 @@ def _trailing_sequence_regular(quotient: Subquotient, r: int) -> bool:
 def sequential_cm_report(chain: SequentialChain) -> dict:
     """Dimensions of the chain quotients and the regular-sequence verdicts.
 
-    On a Borel-type module a failed regular sequence flags a module that is
+    Each quotient's dimension comes from its associated primes (krull_dim)
+    and is compared with the step's quotient_dim, n - r off its index.  On a
+    Borel-type module a failed regular sequence flags a module that is
     not sequentially Cohen-Macaulay; any other failed assertion flags an
     implementation defect.  Memoized like reduced_hilbert, since the check
     report and every chain reader's require_sequentially_cm read it for the
     same chain; callers must not mutate the shared report.
     """
-    n = chain.base.nvars
-    quotients = [quotient for quotient, _ in chain_quotients(chain)]
-    dims = [krull_dim(quotient) for quotient in quotients]
-    expected = [n - s.variable_index for s in chain.steps]
-    regular = [
-        _trailing_sequence_regular(quotient, step.variable_index)
-        for quotient, step in zip(quotients, chain.steps)
-    ]
+    dims = [krull_dim(step.quotient) for step in chain.steps]
+    expected = [step.quotient_dim for step in chain.steps]
+    regular = [_trailing_sequence_regular(step) for step in chain.steps]
     increasing = all(a < b for a, b in zip(dims, dims[1:]))
     return {
         "quotient_dims": dims,
@@ -204,8 +207,6 @@ def sequential_cm_report(chain: SequentialChain) -> dict:
         "dims_match": dims == expected,
         "dims_strictly_increase": increasing,
         "regular_sequences": regular,
-        "dim": dims[-1],
-        "depth": dims[0],
         "ok": dims == expected and increasing and all(regular),
     }
 

@@ -70,15 +70,6 @@ class CheckOptions:
     oracle_guard: int = DEFAULT_ORACLE_GUARD
     field: str = "q"
 
-    def to_json(self) -> dict:
-        """The options as a report records them, in field order; a shallow
-        dict, where asdict would deep-copy every value on each run."""
-        return {
-            "ceiling": self.ceiling,
-            "oracle_guard": self.oracle_guard,
-            "field": self.field,
-        }
-
 
 def module_json(module: Subquotient) -> dict:
     return {
@@ -89,13 +80,10 @@ def module_json(module: Subquotient) -> dict:
 
 
 def run_check(module: Subquotient, options: CheckOptions = CheckOptions()):
-    """Run every applicable cross-check; returns (report, exit_code)."""
+    """Run every applicable cross-check; returns (report, exit_code).  The
+    report records no options: the CLI writes the block its command read."""
     checks: list[dict] = []
-    report = {
-        "input": module_json(module),
-        "options": options.to_json(),
-        "checks": checks,
-    }
+    report = {"input": module_json(module), "checks": checks}
 
     def route(name, reason, compute):
         """Add one check: not applicable for a reason, else compute() gives

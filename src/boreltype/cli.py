@@ -4,8 +4,10 @@ Subcommands: analyze, chain, reg, betti, filtration, check, fuzz.  Every
 report is a JSON object printed to stdout (and optionally written to a file
 with --json); reports contain no timestamps, so identical invocations
 produce identical bytes.  COMMANDS names the options each command reads:
-its parser offers only those, refusing any other as a usage error (exit 3),
-and its report's options block lists exactly those, so analyze reports {}.
+its parser offers only those, refusing any other option of OPTIONS as a
+usage error (exit 3) that names the command, the flag and its value, and its
+report's options block, written by _dispatch alone, lists exactly those, so
+analyze reports {}.
 
 chain, reg, filtration and check reach the chain through chain.prepare, which
 refuses in order the zero module, a non-Borel module (check: not applicable),
@@ -63,6 +65,18 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def _refusal(command: str, flag: str):
+    """The argparse type of an option its command does not read: refuses
+    every value, so the value is never taken for the module path."""
+
+    def refuse(text: str):
+        raise argparse.ArgumentTypeError(
+            f"{command} does not read {flag} (given {text})"
+        )
+
+    return refuse
+
+
 # each option's argparse keywords, keyed by its CheckOptions field, whose
 # name with dashes for underscores is the flag
 OPTIONS = {
@@ -85,7 +99,8 @@ OPTIONS = {
 }
 
 # each command's help and the options it reads: the parser offers it only
-# these, and its report's options block lists exactly these
+# these and refuses the others, and its report's options block lists exactly
+# these
 COMMANDS = {
     "analyze": ("Borel verdict, primes, dimension", ()),
     "chain": ("sequential chain of a Borel-type module", ("ceiling",)),
@@ -116,8 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = parsers[command] = sub.add_parser(command, help=help_text)
         if command != "fuzz":
             p.add_argument("file", help="module file path, or - for stdin")
-        for name in names:
-            p.add_argument("--" + name.replace("_", "-"), **OPTIONS[name])
+        for name, keywords in OPTIONS.items():
+            flag = "--" + name.replace("_", "-")
+            if name not in names:
+                # hidden and never set: a refused flag is not a setting
+                keywords = dict(
+                    type=_refusal(command, flag),
+                    default=argparse.SUPPRESS,
+                    help=argparse.SUPPRESS,
+                )
+            p.add_argument(flag, **keywords)
         p.add_argument(
             "--json",
             dest="json_path",
@@ -165,14 +188,13 @@ def _cmd_analyze(module: Subquotient, options: CheckOptions):
 def _cmd_chain(module: Subquotient, options: CheckOptions):
     chain = prepare(module, "chain", options.ceiling)
     require_sequentially_cm(chain, "chain")
-    n = module.nvars
     steps = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, options.ceiling)):
         steps.append(
             {
                 "variable_index": step.variable_index,
                 "generators": step.ideal.gens_text(),
-                "quotient_dim": n - step.variable_index,
+                "quotient_dim": step.quotient_dim,
                 "reduced_top_degree": len(values) - 1,
                 "reduced_hilbert": [[d, h] for d, h in enumerate(values)],
             }

@@ -48,9 +48,9 @@ from operator import le
 
 from .borel import require_borel
 from .chain import (
+    ChainStep,
     SequentialChain,
     build_chain,
-    chain_quotients,
     reduced_hilbert,
     require_sequentially_cm,
 )
@@ -90,8 +90,8 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
 
     Each witness is the least, by (degree, exponents), of the monomials in
     the step's target outside current whose colon is exactly the step prime,
-    read off the step's Stanley spaces (_stanley_witnesses) from its
-    chain_quotients entry.  Each witness is placed by
+    read off the Stanley spaces (_stanley_witnesses) of the chain step's
+    quotient and reduction.  Each witness is placed by
     current.add_monomial(witness), one pass over the current generators; the
     placements are checked by current == target at the end of each chain
     step, and again by verify_filtration's own pass.  A module that is not
@@ -102,31 +102,26 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     require_borel(module, "filtration")
     chain = build_chain(module)
     require_sequentially_cm(chain, "filtration")
-    n = module.nvars
     steps: list[FiltrationStep] = []
     current = module.denominator
-    pairs = zip(chain.steps, chain_quotients(chain))
-    for k, (step, (quotient, reduced)) in enumerate(pairs, 1):
-        r = step.variable_index
-        prime = MonomialPrime(n, tuple(range(1, r + 1)))
-        target = step.ideal
-        for witness in _stanley_witnesses(quotient, reduced, r):
+    for k, step in enumerate(chain.steps, 1):
+        prime = step.prime
+        for witness in _stanley_witnesses(step):
             current = current.add_monomial(witness)
             steps.append(FiltrationStep(current, witness, prime))
-        if current != target:
+        if current != step.ideal:
             raise InternalInconsistencyError(
-                f"the witnesses of chain step {k} extend to {current}, not to {target}"
+                f"the witnesses of chain step {k} extend to {current}, "
+                f"not to {step.ideal}"
             )
     return PrimeFiltration(module, tuple(steps))
 
 
-def _stanley_witnesses(
-    quotient: Subquotient, reduced: Subquotient, r: int
-) -> list[Monomial]:
-    """The witnesses of a certified chain step T/C0, with its reduction, in
-    the order they are placed: W, the standard monomials of the reduction,
-    popped from a heap keyed by (degree, exponents) once every m x_i, i <= r,
-    lies in C0 or has its owner placed.
+def _stanley_witnesses(step: ChainStep) -> list[Monomial]:
+    """The witnesses of a certified chain step T/C0, in the order they are
+    placed: W, the standard monomials of the step's reduction, popped from a
+    heap keyed by (degree, exponents) once every m x_i, i <= r, lies in C0 or
+    has its owner placed.
 
     Each w in W is g u for a generator g of T and u in K[x1..xr] (a trailing
     variable of w/g could be stripped), and each monomial between g and w is
@@ -134,6 +129,7 @@ def _stanley_witnesses(
     reduced quotient's denominator.  The walk is finite exactly when the
     reduced quotient is Artinian, which is tested first.
     """
+    quotient, reduced, r = step.quotient, step.reduced, step.variable_index
     n = quotient.nvars
     if not reduced.is_artinian():
         raise InternalInconsistencyError(
@@ -287,9 +283,7 @@ def filtration_length_report(
     factors = Counter(s.prime for s in filtration.steps)
     entries = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):
-        prime = MonomialPrime(
-            chain.base.nvars, tuple(range(1, step.variable_index + 1))
-        )
+        prime = step.prime
         count = factors[prime]
         dimension = sum(values)
         entries.append(

@@ -128,23 +128,9 @@ class Monomial:
             raise ValueError(f"{other} does not divide {self}")
         return trusted_monomial(tuple(map(sub, self.exps, other.exps)))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return trusted_monomial(tuple(map(max, self.exps, other.exps)))
-
     def support(self) -> tuple[int, ...]:
         """1-based indices of the variables dividing this monomial."""
         return _support(self.exps)
-
-    def radical_and_min_support(self) -> tuple["Monomial", int]:
-        """The squarefree part and the smallest variable index in the support.
-
-        Undefined for the unit monomial, which has empty support.
-        """
-        sup = self.support()
-        if not sup:
-            raise ValueError("the unit monomial has no support")
-        return trusted_monomial(tuple(1 if e > 0 else 0 for e in self.exps)), sup[0]
 
     def __str__(self) -> str:
         if self.is_unit():

@@ -56,16 +56,15 @@ def regularity(module: Subquotient, ceiling=None) -> RegularityReport:
     Borel-type module."""
     chain = prepare(module, "regularity", ceiling)
     require_sequentially_cm(chain, "regularity")
-    n = module.nvars
     steps = []
     for step, values in zip(chain.steps, reduced_hilbert(chain, ceiling)):
         top = len(values) - 1
-        dim = n - step.variable_index
+        dim = step.quotient_dim
         steps.append(RegularityStep(step.variable_index, top, dim, top - dim))
     return RegularityReport(
         regularity=max(s.top_degree for s in steps),
-        dim=n - chain.steps[-1].variable_index,
-        depth=n - chain.steps[0].variable_index,
+        dim=chain.steps[-1].quotient_dim,
+        depth=chain.steps[0].quotient_dim,
         steps=tuple(steps),
     )
 

@@ -103,7 +103,7 @@ def test_criterion_3_chain_invariants(borel_corpus, mixed_corpus):
         assert report["dims_match"], (M, report)
         assert report["dims_strictly_increase"], (M, report)
         assert all(report["regular_sequences"]), (M, report)
-        assert report["dim"] == n - idx[-1] == krull_dim(M)
+        assert report["quotient_dims"][-1] == n - idx[-1] == krull_dim(M)
         checked += 1
     _passed(3, f"descending indices, ascending ideals, dimensions n - index and "
                f"regular sequences verified on {checked} chains")

@@ -9,8 +9,8 @@ from boreltype import (
     MonomialIdeal,
     Subquotient,
     borel_verdict,
+    MonomialPrime,
     build_chain,
-    chain_quotients,
     dimension_filtration_report,
     iterated_saturation_chain,
     krull_dim,
@@ -67,14 +67,14 @@ class TestBuildChain:
 class TestQuotients:
     def test_golden_quotients_and_reductions(self):
         chain = build_chain(cyclic(2, "x1^2", "x1*x2"))
-        pairs = chain_quotients(chain)
-        assert len(pairs) == 2
-        q1, q1bar = pairs[0]
-        assert q1 == Subquotient(I(2, "x1"), I(2, "x1^2", "x1*x2"))
-        assert q1bar == q1
-        q2, q2bar = pairs[1]
-        assert q2 == cyclic(2, "x1")
-        assert q2bar == cyclic(2, "x1", "x2")
+        assert len(chain) == 2
+        first, second = chain.steps
+        assert first.quotient == Subquotient(I(2, "x1"), I(2, "x1^2", "x1*x2"))
+        assert first.reduced == first.quotient
+        assert (first.quotient_dim, first.prime) == (0, MonomialPrime(2, (1, 2)))
+        assert second.quotient == cyclic(2, "x1")
+        assert second.reduced == cyclic(2, "x1", "x2")
+        assert (second.quotient_dim, second.prime) == (1, MonomialPrime(2, (1,)))
 
     def test_golden_reduced_hilbert(self):
         chain = build_chain(cyclic(2, "x1^2", "x1*x2"))
@@ -101,7 +101,8 @@ class TestQuotients:
 
     def test_check_reduces_each_step_once(self, monkeypatch):
         # regularity, the SCM report and the filtration builder read the
-        # memoized chain_quotients, the one place that reduces a step quotient
+        # steps of the memoized build_chain, the one place that reduces a
+        # step quotient
         M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
         reductions = []
         original = Subquotient.artinian_reduction
@@ -111,8 +112,7 @@ class TestQuotients:
             return original(self, r)
 
         monkeypatch.setattr(Subquotient, "artinian_reduction", counted)
-        reduced_hilbert.cache_clear()
-        chain_quotients.cache_clear()
+        build_chain.cache_clear()
         report, code = run_check(M)
         assert code == 0
         chain = build_chain(M)
@@ -121,35 +121,56 @@ class TestQuotients:
 
     def test_check_computes_each_certificate_once(self, monkeypatch):
         # the check report, regularity and the filtration builder all read
-        # the memoized sequential_cm_report, which certifies each step once,
-        # on the step quotient of the memoized chain_quotients
+        # the memoized sequential_cm_report, which certifies each step of the
+        # memoized build_chain once
         M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
         certified = []
         original = chain_module._trailing_sequence_regular
 
-        def counted(quotient, r):
-            certified.append((quotient, r))
-            return original(quotient, r)
+        def counted(step):
+            certified.append(step)
+            return original(step)
 
         monkeypatch.setattr(chain_module, "_trailing_sequence_regular", counted)
-        chain_quotients.cache_clear()
+        build_chain.cache_clear()
         sequential_cm_report.cache_clear()
         report, code = run_check(M)
         assert code == 0
-        assert chain_quotients.cache_info().misses == 1
+        assert build_chain.cache_info().misses == 1
         assert sequential_cm_report.cache_info().misses == 1
         chain = build_chain(M)
         assert len(chain) > 1
-        assert certified == [
-            (quotient, step.variable_index)
-            for (quotient, _), step in zip(chain_quotients(chain), chain.steps)
-        ]
+        assert certified == list(chain.steps)
 
     def test_quotients_are_nonzero(self):
         chain = build_chain(cyclic(3, "x1", "x2^2", "x2*x3"))
-        for quotient, reduced in chain_quotients(chain):
-            assert not quotient.is_zero()
-            assert not reduced.is_zero()
+        for step in chain.steps:
+            assert not step.quotient.is_zero()
+            assert not step.reduced.is_zero()
+
+    def test_each_step_is_built_whole(self, borel_corpus, mixed_corpus):
+        # every Borel draw of the two seeded corpora, cyclic or not
+        modules = [
+            M
+            for M in borel_corpus + mixed_corpus
+            if not M.is_zero() and borel_verdict(M).is_borel
+        ]
+        assert len(modules) >= 200
+        for M in modules:
+            n = M.nvars
+            chain = build_chain(M)
+            previous = M.denominator
+            for step in chain.steps:
+                r = step.variable_index
+                assert step.quotient == Subquotient(step.ideal, previous)
+                assert step.reduced == step.quotient.artinian_reduction(r)
+                assert step.prime == MonomialPrime(n, tuple(range(1, r + 1)))
+                assert step.quotient_dim == krull_dim(step.quotient)
+                previous = step.ideal
+            # the memo keys: a chain built again from an equal module
+            again = build_chain.__wrapped__(Subquotient(M.numerator, M.denominator))
+            assert again is not chain
+            assert again == chain and hash(again) == hash(chain)
 
 
 class TestCmReport:
@@ -159,18 +180,15 @@ class TestCmReport:
         assert report["expected_dims"] == [0, 1]
         assert report["dims_match"] and report["dims_strictly_increase"]
         assert report["regular_sequences"] == [True, True]
-        assert report["dim"] == 1 and report["depth"] == 0
         assert report["ok"]
 
     def test_golden_principal(self):
         report = sequential_cm_report(build_chain(cyclic(2, "x1")))
         assert report["quotient_dims"] == [1]
-        assert report["dim"] == 1 and report["depth"] == 1
 
     def test_golden_artinian(self):
         report = sequential_cm_report(build_chain(cyclic(2, "x1", "x2")))
         assert report["quotient_dims"] == [0]
-        assert report["dim"] == 0 and report["depth"] == 0
 
 
 class TestCorpusInvariants:
@@ -191,8 +209,8 @@ class TestCorpusInvariants:
             assert ideals[-1] == M.numerator
             report = sequential_cm_report(chain)
             assert report["ok"], (M, report)
-            assert report["dim"] == n - idx[-1] == krull_dim(M)
-            assert report["depth"] == n - idx[0]
+            assert report["quotient_dims"][-1] == n - idx[-1] == krull_dim(M)
+            assert report["quotient_dims"][0] == n - idx[0]
 
     def test_torsion_ladder(self, borel_corpus):
         for M in borel_corpus:

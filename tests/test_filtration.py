@@ -20,7 +20,6 @@ from boreltype import (
     Subquotient,
     borel_verdict,
     build_chain,
-    chain_quotients,
     exchange_closure_ideal,
     filtration_length_report,
     generate_corpus,
@@ -460,11 +459,11 @@ class TestWitnessParity:
 
 def _builder_calls(monkeypatch, M, owner, name):
     """The filtration's length and how often the builder calls owner.name,
-    with the verdict, the chain, its quotients and its certificate cached
-    first, so that only the builder's own calls are counted."""
+    with the verdict, the chain (its steps carry their quotients) and its
+    certificate cached first, so that only the builder's own calls are
+    counted."""
     borel_verdict(M)
-    chain = build_chain(M)
-    chain_quotients(chain), sequential_cm_report(chain)
+    sequential_cm_report(build_chain(M))
     calls = []
     original = getattr(owner, name)
 
@@ -532,7 +531,9 @@ class TestStanleyWitnesses:
         # The rung's dimension check refuses this chain first, so it is
         # patched out to reach the builder's own guard
         M = cyclic(2, "x1")
-        fake = SequentialChain(M, (ChainStep(2, MonomialIdeal.unit(2)),))
+        quotient = Subquotient(MonomialIdeal.unit(2), M.denominator)
+        step = ChainStep(2, quotient.numerator, quotient, quotient.artinian_reduction(2))
+        fake = SequentialChain(M, (step,))
         with pytest.raises(InternalInconsistencyError, match="dimensions"):
             require_sequentially_cm(fake, "filtration")
         monkeypatch.setattr(filtration_module, "build_chain", lambda module: fake)

@@ -62,18 +62,9 @@ class TestMonomialBasics:
         # a zip over the exponent tuples alone would truncate to the shorter
         short, long = Monomial((1, 0)), Monomial((1, 0, 2))
         for a, b in ((short, long), (long, short)):
-            for op in (a.mul, a.lcm, a.div, a.divides):
+            for op in (a.mul, a.div, a.divides):
                 with pytest.raises(DimensionMismatchError):
                     op(b)
-
-    def test_radical_and_min_support(self):
-        assert Monomial((2, 1, 0)).radical_and_min_support() == (Monomial((1, 1, 0)), 1)
-        assert Monomial((0, 0, 3)).radical_and_min_support() == (Monomial((0, 0, 1)), 3)
-        assert Monomial((0, 2, 1)).radical_and_min_support() == (Monomial((0, 1, 1)), 2)
-
-    def test_radical_of_unit_rejected(self):
-        with pytest.raises(ValueError):
-            Monomial.unit(3).radical_and_min_support()
 
     def test_div_requires_divisibility(self):
         assert Monomial((2, 1)).div(Monomial((1, 0))) == Monomial((1, 1))
@@ -107,7 +98,6 @@ class TestMonomialBasics:
     def test_mul_lcm_parity(self, a, b):
         ma, mb = Monomial(a), Monomial(b)
         assert ma.mul(mb).exps == raw_mul(a, b)
-        assert ma.lcm(mb).exps == tuple(max(x, y) for x, y in zip(a, b))
         assert ma.divides(mb) == all(x <= y for x, y in zip(a, b))
 
     @given(a=exponent_tuples(3))
