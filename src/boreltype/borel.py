@@ -1,7 +1,9 @@
 """Borel-type (weakly stable) and strongly stable predicates.
 
 A module is of Borel type when its torsion at each single variable x_i agrees
-with its torsion at the whole initial segment (x1..xi).  Three equivalent
+with its torsion at the whole initial segment (x1..xi).  The segment's
+saturation is built up one variable at a time, by the identity
+J : (x1..xi)^inf = J : (x1..x_{i-1})^inf meet J : x_i^inf.  Three equivalent
 characterizations are computed side by side and must agree: the saturation
 equalities themselves, the nesting of the single-variable torsion submodules,
 and every associated prime being an initial segment.  A disagreement is an
@@ -65,17 +67,29 @@ class BorelVerdict:
 
 @lru_cache(maxsize=VERDICT_MEMO_SIZE)
 def borel_verdict(module: Subquotient) -> BorelVerdict:
-    """Decide Borel type by all three criteria; raise on any disagreement."""
+    """Decide Borel type by all three criteria; raise on any disagreement.
+
+    The torsion at x_i is (J : x_i^inf) meet I, and at (x1..xi) it is
+    (J : (x1..xi)^inf) meet I.  A saturation by an ideal is the meet of the
+    saturations at its generators, so
+
+        J : (x1..xi)^inf = J : (x1..x_{i-1})^inf  meet  J : x_i^inf,
+
+    and one saturation per variable, folded into a running meet, gives every
+    prefix saturation in n - 1 intersections.
+    """
     n = module.nvars
     if module.is_zero():
         return BorelVerdict(True, True, True, (), (), (), (), note="zero module")
+    num, den = module.numerator, module.denominator
     single = [None]
     prefix = [None]
+    running = None  # J : (x1..xi)^inf
     for i in range(1, n + 1):
-        single.append(
-            module.torsion_submodule(MonomialIdeal.principal(Monomial.variable(i, n)))
-        )
-        prefix.append(module.torsion_submodule(MonomialIdeal.prefix(n, i)))
+        sat = den.saturate(MonomialIdeal.principal(Monomial.variable(i, n)))
+        running = sat if running is None else running.intersect(sat)
+        single.append(sat.intersect(num))
+        prefix.append(running.intersect(num))
     sat_failures = tuple(i for i in range(1, n + 1) if single[i] != prefix[i])
     pair_failures = tuple(
         (j, i)

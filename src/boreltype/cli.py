@@ -4,10 +4,10 @@ Subcommands: analyze, chain, reg, betti, filtration, check, fuzz.  Every
 report is a JSON object printed to stdout (and optionally written to a file
 with --json); reports contain no timestamps, so identical invocations
 produce identical bytes.  COMMANDS names the options each command reads:
-its parser offers only those, refusing any other option of OPTIONS as a
-usage error (exit 3) that names the command, the flag and its value, and its
-report's options block, written by _dispatch alone, lists exactly those, so
-analyze reports {}.
+its parser offers only those, refusing any other --flag, before argparse
+can take its value for the module path, as a usage error (exit 3) that
+names the command, the flag and its value, and its report's options block,
+written by _dispatch alone, lists exactly those, so analyze reports {}.
 
 chain, reg, filtration and check reach the chain through chain.prepare, which
 refuses in order the zero module, a non-Borel module (check: not applicable),
@@ -65,16 +65,35 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _refusal(command: str, flag: str):
-    """The argparse type of an option its command does not read: refuses
-    every value, so the value is never taken for the module path."""
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: refuses every ``--flag`` it does not declare.
 
-    def refuse(text: str):
-        raise argparse.ArgumentTypeError(
-            f"{command} does not read {flag} (given {text})"
-        )
+    argparse would take an unknown flag's value for the module path and name
+    the path as unrecognized.  So the command's tokens are scanned first: a
+    flag that is neither declared nor argparse's abbreviation of a declared
+    one is refused, naming the command, the flag and its value.  Every option
+    of this command line takes one value; the value is the text after ``=``,
+    or else the next token unless that is a flag too.  Tokens after ``--``
+    are positional and are not scanned.
+    """
 
-    return refuse
+    def parse_known_args(self, args=None, namespace=None):
+        # the subparsers action passes the command's tokens as a list
+        for at, token in enumerate(args):
+            if token == "--":
+                break
+            if not token.startswith("--"):
+                continue
+            flag, eq, value = token.partition("=")
+            if any(s.startswith(flag) for s in self._option_string_actions):
+                continue
+            if not eq:
+                after = args[at + 1 : at + 2]
+                value = after[0] if after and not after[0].startswith("--") else None
+            command = self.prog.rpartition(" ")[2]
+            given = "" if value is None else f" (given {value})"
+            self.error(f"{command} does not read {flag}{given}")
+        return super().parse_known_args(args, namespace)
 
 
 # each option's argparse keywords, keyed by its CheckOptions field, whose
@@ -125,22 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
         "sequential chains, regularity, prime filtrations, and brute-force "
         "Betti numbers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
     parsers = {}
     for command, (help_text, names) in COMMANDS.items():
         p = parsers[command] = sub.add_parser(command, help=help_text)
         if command != "fuzz":
             p.add_argument("file", help="module file path, or - for stdin")
-        for name, keywords in OPTIONS.items():
-            flag = "--" + name.replace("_", "-")
-            if name not in names:
-                # hidden and never set: a refused flag is not a setting
-                keywords = dict(
-                    type=_refusal(command, flag),
-                    default=argparse.SUPPRESS,
-                    help=argparse.SUPPRESS,
-                )
-            p.add_argument(flag, **keywords)
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), **OPTIONS[name])
         p.add_argument(
             "--json",
             dest="json_path",

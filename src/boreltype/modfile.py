@@ -9,17 +9,24 @@ Format, line oriented::
     x1*x2
     x1^2
 
-Blocks must appear in that order.  The numerator block is either generator
-lines or the single keyword ``unit``; an empty block is the zero ideal (legal
-only when numerator and denominator agree, i.e. the zero module).  Blank lines
-and ``#`` comments are ignored.  ``parse_module_file(serialize_module(M))``
-returns a module equal to M.
+Blocks must appear in that order.  A block holds generator lines; a line
+``unit`` (or ``1``) makes it the unit ideal; an empty block is the zero
+ideal (legal only when numerator and denominator agree, i.e. the zero
+module).  Blank lines and ``#`` comments are ignored.
+``parse_module_file(serialize_module(M))`` returns a module equal to M.
+
+Each generator line, ``unit`` included, is validated by
+``monomial.exps_from_text`` alone, which raises on a malformed factor, a
+variable outside x1..xn or a summed exponent past the limit; the parser adds
+the line number to its ``ParseError``.  Each ideal is then built from its set
+of exponent tuples with no second validation, and ``Subquotient`` checks
+that the denominator lies in the numerator.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .monomial import MonomialIdeal, monomial_from_text
+from .monomial import _ideal_from_exps, exps_from_text
 from .subquotient import Subquotient
 
 _HEADERS = ("vars", "numerator", "denominator")
@@ -71,20 +78,13 @@ def parse_module_file(text: str) -> Subquotient:
         raise ParseError(f"variable count must be positive, got {nvars}", line=lineno)
     ideals = {}
     for name in ("numerator", "denominator"):
-        gens = []
-        unit = False
+        exps = set()
         for lineno, entry in sections[name]:
-            if entry == "unit":
-                unit = True
-                continue
             try:
-                gens.append(monomial_from_text(entry, nvars))
+                exps.add(exps_from_text(entry, nvars))
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-        ideal = MonomialIdeal(nvars, tuple(gens))
-        if unit:
-            ideal = ideal.add(MonomialIdeal.unit(nvars))
-        ideals[name] = ideal
+        ideals[name] = _ideal_from_exps(nvars, exps)
     try:
         return Subquotient(ideals["numerator"], ideals["denominator"])
     except ValueError as exc:

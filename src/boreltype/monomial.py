@@ -11,25 +11,28 @@ operation is a pure function, which makes all of them safe to share between
 threads.
 
 Exponents are validated once, at the public boundaries: ``Monomial(...)``,
-``monomial_from_text``, the type and variable-count checks of
+``exps_from_text``, the type and variable-count checks of
 ``MonomialIdeal(...)`` and the variable-count check of ``member``, whose
 tuple test ``_member_exps`` the package calls directly on tuples it
-computed.  Results of internal operations (products, quotients, lcms,
-saturations, box walks) are built from exponent tuples that are valid by
-construction and skip that validation; only the variable counts of the
-operands are still compared, so that no operation truncates silently.  The
-ideal results of ``add``, ``multiply``, ``intersect``, ``colon_monomial`` and
-``saturate`` are built by ``_ideal_from_exps``, which shares the
-constructor's minimalization and skips its checks.  ``intersect`` first sorts
+computed.  ``exps_from_text`` is the one validation of monomial text, the
+exponent limit included: ``monomial_from_text`` wraps its tuple in a
+``Monomial``, and the module-file parser (``modfile.parse_module_file``)
+builds each ideal from its tuples with ``_ideal_from_exps``.  Results of
+internal operations (products, quotients, lcms, saturations, box walks) are
+built from exponent tuples that are valid by construction and skip that
+validation; only the variable counts of the operands are still compared, so
+that no operation truncates silently.  The ideal results of ``add``,
+``multiply``, ``intersect``, ``colon_monomial`` and ``saturate`` are built by
+``_ideal_from_exps``, which shares the constructor's minimalization and skips
+its checks.  ``intersect`` first sorts
 each operand's generators by membership in the other: those that lie in it
 are kept as they are and lcms are formed only between the rest, so an operand
 whose generators all lie in the other is returned itself, with no new ideal
 built.  ``add_monomial`` (I + (m), as the filtration builder places its
 witnesses) needs no minimalization: it keeps m and the generators m does not
 divide, or returns I when m lies in it.  It and ``_ideal_from_exps`` build
-their results through ``_trusted_ideal``, as do ``principal`` and ``prefix``
-after their checks: one monomial, or distinct variables, are minimal by
-construction.
+their results through ``_trusted_ideal``, as does ``principal`` after its
+check: one monomial is minimal by construction.
 
 Saturations are memoized in one place, the bounded module-level
 ``lru_cache`` of ``_saturate_monomial``: the saturation of an ideal at a
@@ -192,14 +195,20 @@ def _minimal_exps(distinct) -> tuple[tuple[int, ...], ...]:
 _FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?\Z")
 
 
-def monomial_from_text(text: str, nvars: int) -> Monomial:
-    """Parse the canonical text form, e.g. ``x1^2*x2`` or ``1``."""
+def exps_from_text(text: str, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a monomial in the canonical text form, e.g.
+    ``x1^2*x2``, ``1`` or ``unit``: the one validation of monomial text.
+
+    Raises ``ParseError`` on a malformed factor or a variable outside
+    x1..xn, and, once every factor has parsed, ``OverflowError`` when a
+    variable's summed exponent passes ``EXPONENT_LIMIT``.
+    """
     body = text.strip()
     if not body:
         raise ParseError("empty monomial")
-    if body == "1" or body == "unit":
-        return Monomial.unit(nvars)
     exps = [0] * nvars
+    if body == "1" or body == "unit":
+        return tuple(exps)
     for factor in body.split("*"):
         m = _FACTOR_RE.match(factor.strip())
         if m is None:
@@ -211,7 +220,15 @@ def monomial_from_text(text: str, nvars: int) -> Monomial:
         if exp < 1:
             raise ParseError(f"exponent must be positive in {factor.strip()!r}")
         exps[index - 1] += exp
-    return Monomial(tuple(exps))
+    for e in exps:
+        if e > EXPONENT_LIMIT:
+            raise OverflowError(f"exponent {e} exceeds the limit {EXPONENT_LIMIT}")
+    return tuple(exps)
+
+
+def monomial_from_text(text: str, nvars: int) -> Monomial:
+    """Parse the canonical text form, e.g. ``x1^2*x2`` or ``1``."""
+    return Monomial(exps_from_text(text, nvars))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -281,17 +298,6 @@ class MonomialIdeal:
     def variables(nvars: int, indices) -> "MonomialIdeal":
         """The prime ideal generated by the listed variables (1-based)."""
         return MonomialIdeal(nvars, tuple(Monomial.variable(i, nvars) for i in indices))
-
-    @staticmethod
-    def prefix(nvars: int, r: int) -> "MonomialIdeal":
-        """The initial-segment prime (x1, ..., xr); zero ideal for r = 0."""
-        if not 0 <= r <= nvars:
-            raise ValueError(f"prefix length {r} outside 0..{nvars}")
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        # x_r < ... < x_1 lexicographically, and no variable divides another
-        exps = tuple(Monomial.variable(i, nvars).exps for i in range(r, 0, -1))
-        return _trusted_ideal(nvars, exps)
 
     @staticmethod
     def from_text_lines(nvars: int, lines) -> "MonomialIdeal":
@@ -456,8 +462,9 @@ def _ideal_from_exps(nvars: int, distinct) -> MonomialIdeal:
     """The ideal generated by a set of exponent tuples, without validation.
 
     Only for tuples of length nvars computed from the generators of valid
-    ideals (sums, lcms, quotients, zeroed exponents): valid by construction.
-    Input from outside goes through ``MonomialIdeal(...)``.
+    ideals (sums, lcms, quotients, zeroed exponents), valid by construction,
+    or returned by ``exps_from_text``.  Other input from outside goes through
+    ``MonomialIdeal(...)``.
     """
     return _trusted_ideal(nvars, _minimal_exps(distinct))
 

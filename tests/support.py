@@ -2,11 +2,12 @@
 
 Everything in the raw_* family works on plain exponent tuples and never calls
 into the package, so it can serve as an independent oracle for membership,
-colon, intersection, and saturation results.  The two exceptions are the
+colon, intersection, and saturation results.  The three exceptions are the
 ideal-building loops the package's cheaper routes must agree with:
-raw_torsion_identity_report, which calls the package's torsion submodule
-for every monomial it tests, and raw_step_violations, which builds each
-filtration step's extension and colon ideals.  hilbert_function counts one
+raw_borel_verdict, which builds every torsion submodule from its support
+ideal, raw_torsion_identity_report, which calls the package's torsion
+submodule for every monomial it tests, and raw_step_violations, which builds
+each filtration step's extension and colon ideals.  hilbert_function counts one
 degree of a module with the package's membership test; it is the independent
 check of Subquotient.artinian_hilbert.
 """
@@ -19,7 +20,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from boreltype import Monomial, MonomialIdeal, Subquotient, monomials_of_degree
-from boreltype.borel import TORSION_SAMPLE_DEGREE
+from boreltype.borel import TORSION_SAMPLE_DEGREE, BorelVerdict
+from boreltype.decomposition import associated_primes, prime_sort_key
 
 
 def raw_divides(a, b) -> bool:
@@ -312,6 +314,44 @@ def raw_betti_entries(gens, nvars: int, rank):
         ranks = raw_reduced_homology_ranks(raw_upper_koszul_faces(gens, a), rank)
         entries.extend((k + 2, a, h) for k, h in ranks.items())
     return sorted(entries)
+
+
+def raw_borel_verdict(module: Subquotient) -> BorelVerdict:
+    """The Borel verdict with each torsion submodule built from its support
+    ideal: (x_i) for the single variables and (x1..xi) for the initial
+    segments, so every segment is saturated afresh.  The associated primes
+    are the package's; no disagreement is raised."""
+    n = module.nvars
+    if module.is_zero():
+        return BorelVerdict(True, True, True, (), (), (), (), note="zero module")
+    single = {
+        i: module.torsion_submodule(MonomialIdeal.principal(Monomial.variable(i, n)))
+        for i in range(1, n + 1)
+    }
+    prefix = {
+        i: module.torsion_submodule(MonomialIdeal.variables(n, range(1, i + 1)))
+        for i in range(1, n + 1)
+    }
+    sat_failures = tuple(i for i in range(1, n + 1) if single[i] != prefix[i])
+    pair_failures = tuple(
+        (j, i)
+        for i in range(2, n + 1)
+        for j in range(1, i)
+        if not single[j].contains(single[i])
+    )
+    primes = associated_primes(module)
+    prime_failures = tuple(
+        sorted((p for p in primes if not p.is_initial_segment()), key=prime_sort_key)
+    )
+    return BorelVerdict(
+        not sat_failures,
+        not pair_failures,
+        not prime_failures,
+        sat_failures,
+        pair_failures,
+        prime_failures,
+        primes,
+    )
 
 
 def raw_torsion_identity_report(module: Subquotient) -> dict:

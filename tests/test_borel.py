@@ -32,6 +32,7 @@ from .support import (
     modules,
     monomial_ideals,
     raw_associated_primes,
+    raw_borel_verdict,
     raw_torsion_identity_report,
 )
 
@@ -73,6 +74,18 @@ class TestVerdict:
         v = borel_verdict(Subquotient(I(2, "x1"), I(2, "x1")))
         assert v.is_borel
         assert v.note == "zero module"
+
+    @given(
+        M=st.one_of(modules(min_vars=1, max_vars=5), borel_modules(max_vars=5))
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_matches_one_saturation_per_torsion_submodule(self, M):
+        # the verdict folds the prefix saturations into one running meet; the
+        # raw verdict saturates by each support ideal afresh
+        borel_verdict.cache_clear()
+        verdict, raw = borel_verdict(M), raw_borel_verdict(M)
+        for field in dataclasses.fields(verdict):
+            assert getattr(verdict, field.name) == getattr(raw, field.name), field.name
 
     @given(M=modules())
     @settings(deadline=None, max_examples=120)

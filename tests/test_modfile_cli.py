@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boreltype import (
     MonomialIdeal,
@@ -52,6 +53,24 @@ def I(nvars, *gens):
 
 def cyclic(nvars, *gens):
     return Subquotient.cyclic(I(nvars, *gens))
+
+
+@st.composite
+def generator_lines(draw, nvars: int, unit: bool = True):
+    """A generator line as a person might write it: factors in any order,
+    repeated, with or without exponents and spaces; ``1`` or ``unit`` when
+    there are none, if unit is allowed."""
+    factors = draw(
+        st.lists(
+            st.tuples(st.integers(1, nvars), st.none() | st.integers(1, 3)),
+            min_size=0 if unit else 1,
+            max_size=4,
+        )
+    )
+    if not factors:
+        return draw(st.sampled_from(("1", "unit")))
+    joint = draw(st.sampled_from(("*", " * ", "*  ")))
+    return joint.join(f"x{i}" if e is None else f"x{i}^{e}" for i, e in factors)
 
 
 class TestParse:
@@ -103,6 +122,62 @@ class TestParse:
             parse_module_file("stray\nvars: 2\nnumerator:\nunit\ndenominator:\nx1\n")
         with pytest.raises(ParseError):
             parse_module_file("vars: 2\nnumerator:\nunit\n")
+
+    def test_unit_beside_generators_is_the_unit_ideal(self):
+        for numerator in ("unit\nx1", "x1\nunit", "x1*x2\nunit\nx2^3"):
+            text = f"vars: 2\nnumerator:\n{numerator}\ndenominator:\nx1^2\n"
+            assert parse_module_file(text) == cyclic(2, "x1^2")
+
+    def test_one_as_a_generator_line(self):
+        text = "vars: 2\nnumerator:\n1\ndenominator:\nx1^2\n"
+        assert parse_module_file(text) == cyclic(2, "x1^2")
+
+    def test_repeated_factors_add_their_exponents(self):
+        text = "vars: 2\nnumerator:\nunit\ndenominator:\nx1*x1\nx2*x1^2*x2\n"
+        assert parse_module_file(text) == cyclic(2, "x1^2")
+        text = "vars: 2\nnumerator:\nunit\ndenominator:\nx2 * x1^2 * x2\n"
+        assert parse_module_file(text) == cyclic(2, "x1^2*x2^2")
+
+    def test_duplicate_generator_lines(self):
+        text = "vars: 2\nnumerator:\nx1\nx1\ndenominator:\nx1^2\nx1*x2\nx1^2\n"
+        assert parse_module_file(text) == Subquotient(
+            I(2, "x1"), I(2, "x1^2", "x1*x2")
+        )
+
+    def test_summed_exponent_past_the_limit(self, capsys, tmp_path):
+        # each factor is below EXPONENT_LIMIT = 2^20, their sum is not
+        text = "vars: 2\nnumerator:\nunit\ndenominator:\nx1^1048576*x1\n"
+        with pytest.raises(OverflowError) as exc:
+            parse_module_file(text)
+        assert str(exc.value) == "exponent 1048577 exceeds the limit 1048576"
+        path = tmp_path / "sum.mod"
+        path.write_text(text, encoding="utf-8")
+        code, report, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3 and report is None
+        assert err == "error: exponent 1048577 exceeds the limit 1048576\n"
+        # a malformed factor later on the line is reported before the sum
+        with pytest.raises(ParseError, match="bad monomial factor 'y'"):
+            parse_module_file(text.replace("*x1\n", "*x1*y\n"))
+
+    def test_bad_numerator_factor_carries_line_number(self):
+        text = "vars: 2\nnumerator:\nx1\nx1*y2\ndenominator:\nx1^2\n"
+        with pytest.raises(ParseError) as exc:
+            parse_module_file(text)
+        assert exc.value.line == 4
+        assert str(exc.value) == "line 4: bad monomial factor 'y2'"
+
+    @given(data=st.data(), nvars=st.integers(1, 4))
+    @settings(deadline=None, max_examples=120)
+    def test_parse_matches_the_validating_constructor(self, data, nvars):
+        lines = st.lists(generator_lines(nvars, unit=False), min_size=1, max_size=4)
+        den = data.draw(lines)
+        num = data.draw(st.permutations(den + data.draw(st.lists(generator_lines(nvars)))))
+        text = "\n".join([f"vars: {nvars}", "numerator:", *num, "denominator:", *den])
+        expected = Subquotient(
+            MonomialIdeal.from_text_lines(nvars, num),
+            MonomialIdeal.from_text_lines(nvars, den),
+        )
+        assert parse_module_file(text) == expected
 
     def test_serialize_golden(self):
         assert serialize_module(cyclic(2, "x1^2", "x1*x2")) == CANONICAL
@@ -481,22 +556,22 @@ class TestCliErrors:
             if isinstance(action, argparse._SubParsersAction)
         )
 
-        def flags(hidden):
-            return {
-                command: {
-                    flag
-                    for action in parser._actions
-                    for flag in action.option_strings
-                    if flag not in ("-h", "--help", "--json")
-                    and (action.help is argparse.SUPPRESS) == hidden
-                }
-                for command, parser in subparsers.choices.items()
+        # a flag that a command does not read is not declared at all, not
+        # even hidden: its parser refuses it by name before parsing
+        offered = {
+            command: {
+                flag
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help", "--json")
             }
-
-        # a flag of OPTIONS that a command does not read is hidden and refused
-        offered, refused = flags(False), flags(True)
-        every = {"--" + name.replace("_", "-") for name in cli.OPTIONS}
-        assert refused == {c: every - set(fs) for c, fs in DECLARED_FLAGS.items()}
+            for command, parser in subparsers.choices.items()
+        }
+        assert not any(
+            action.help is argparse.SUPPRESS
+            for parser in subparsers.choices.values()
+            for action in parser._actions
+        )
         extras = {
             "betti": {"--csv"},
             "fuzz": {"--seed", "--count", "--gen", "--vars", "--maxdeg"},
@@ -522,13 +597,19 @@ class TestCliErrors:
                 ("--ceiling", "5"),
                 ("--oracle-guard", "5"),
                 ("--field", "f2"),
-                ("--emax", "5"),
+                ("--emax", "5"),  # an option of no command
+                ("--ceilng", "5"),  # a misspelled one
             )
             if flag not in flags
             for argv in (
-                [[command, flag, value]]
+                [[command, flag, value], [command, f"{flag}={value}"]]
                 if command == "fuzz"
-                else [[command, "-", flag, value], [command, flag, value, "-"]]
+                else [
+                    [command, "-", flag, value],
+                    [command, flag, value, "-"],
+                    [command, "-", f"{flag}={value}"],
+                    [command, f"{flag}={value}", "-"],
+                ]
             )
         ],
         ids=" ".join,
@@ -537,14 +618,36 @@ class TestCliErrors:
         # the flag's value is never taken for the file, on either side of it
         command = argv[0]
         at = next(i for i, arg in enumerate(argv) if arg.startswith("--"))
-        flag, value = argv[at : at + 2]
+        flag, _, value = argv[at].partition("=")
+        value = value or argv[at + 1]
         code, report, err = run_cli(capsys, *argv)
         assert code == 3 and report is None
-        if flag == "--emax":  # an option of no command, left to argparse
-            assert f"unrecognized arguments: {flag}" in err
-        else:
-            refusal = f"{command} does not read {flag} (given {value})"
-            assert f"argument {flag}: {refusal}" in err
+        assert err.endswith(
+            f"boreltype {command}: error: {command} does not read {flag} (given {value})\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reg", "-", "--ceilng"],
+            ["reg", "-", "--ceilng", "--ceiling", "5"],
+            ["fuzz", "--ceilng"],
+        ],
+        ids=" ".join,
+    )
+    def test_undeclared_flag_without_a_value_is_named(self, capsys, argv):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 3 and report is None
+        assert err.endswith(f"error: {argv[0]} does not read --ceilng\n")
+
+    def test_declared_flags_and_their_abbreviations_still_parse(self, capsys, monkeypatch):
+        for argv in (["reg", "--ceiling", "5", "-"], ["reg", "-", "--ceil=5"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(CANONICAL))
+            code, report, _ = run_cli(capsys, *argv)
+            assert code == 0 and report["options"] == {"ceiling": 5}
+        # past "--" every token is positional, so a flag-like one is the file
+        code, _, err = run_cli(capsys, "analyze", "--", "--no-such-file")
+        assert code == 3 and "No such file" in err
 
     @pytest.mark.parametrize("command", list(DECLARED_FLAGS))
     def test_report_lists_the_options_its_command_read(self, capsys, module_file, command):

@@ -118,11 +118,11 @@ class TestIdealNormalization:
         # any generator set containing the unit collapses to the unit ideal
         assert MonomialIdeal(2, (Monomial.unit(2), Monomial((1, 1)))) == MonomialIdeal.unit(2)
 
-    def test_prefix(self):
-        assert MonomialIdeal.prefix(3, 0).is_zero()
-        assert MonomialIdeal.prefix(3, 2) == I(3, "x1", "x2")
+    def test_variables(self):
+        assert MonomialIdeal.variables(3, ()).is_zero()
+        assert MonomialIdeal.variables(3, range(1, 3)) == I(3, "x1", "x2")
         with pytest.raises(ValueError):
-            MonomialIdeal.prefix(3, 4)
+            MonomialIdeal.variables(3, (4,))
 
     @given(data=st.data(), nvars=st.integers(1, 6))
     @settings(deadline=None, max_examples=200)
@@ -221,9 +221,9 @@ class TestIdealArithmetic:
     def test_saturate_by_unit_and_prefix(self):
         ideal = I(3, "x1^2*x3", "x2^3", "x1*x2*x3^2")
         assert ideal.saturate(MonomialIdeal.unit(3)) == ideal
-        assert ideal.saturate(MonomialIdeal.prefix(3, 1)) == I(3, "x3", "x2^3")
-        assert ideal.saturate(MonomialIdeal.prefix(3, 2)) == I(3, "x3", "x2^3")
-        assert ideal.saturate(MonomialIdeal.prefix(3, 3)) == I(
+        assert ideal.saturate(MonomialIdeal.variables(3, (1,))) == I(3, "x3", "x2^3")
+        assert ideal.saturate(MonomialIdeal.variables(3, (1, 2))) == I(3, "x3", "x2^3")
+        assert ideal.saturate(MonomialIdeal.variables(3, (1, 2, 3))) == I(
             3, "x1^2*x3", "x1*x2*x3", "x2^3"
         )
 
@@ -323,31 +323,19 @@ class TestTrustedKernel:
                 setattr(ideal, name, ())
         assert ideal == I(2, "x1^2", "x1*x2") and ideal.exps == ((1, 1), (2, 0))
 
-    def test_principal_and_prefix_ideals_match_the_constructor(self):
-        # principal and prefix skip the constructor; their generator tuples,
-        # equality and hashes must be the validating constructor's
+    def test_principal_ideals_match_the_constructor(self):
+        # principal skips the constructor; its generator tuples, equality and
+        # hashes must be the validating constructor's
         for n in range(1, 7):
             for i in range(1, n + 1):
                 x = Monomial.variable(i, n)
                 built, validated = MonomialIdeal.principal(x), MonomialIdeal(n, (x,))
                 assert (built.nvars, built.gens) == (validated.nvars, validated.gens)
                 assert hash(built) == hash(validated)
-            for r in range(n + 1):
-                built = MonomialIdeal.prefix(n, r)
-                validated = MonomialIdeal(
-                    n, tuple(Monomial.variable(i, n) for i in range(1, r + 1))
-                )
-                assert (built.nvars, built.gens) == (validated.nvars, validated.gens)
-                assert hash(built) == hash(validated)
 
-    def test_principal_and_prefix_ideals_keep_their_refusals(self):
+    def test_principal_ideals_keep_their_refusal(self):
         with pytest.raises(TypeError, match="^generator \\(1, 0\\) is not a Monomial$"):
             MonomialIdeal.principal((1, 0))
-        for n, r in ((3, 4), (3, -1), (0, 1), (-1, 0)):
-            with pytest.raises(ValueError, match=f"^prefix length {r} outside 0..{n}$"):
-                MonomialIdeal.prefix(n, r)
-        with pytest.raises(ValueError, match="^need at least one variable$"):
-            MonomialIdeal.prefix(0, 0)
 
     def test_unit_and_zero_operands(self):
         ideal = I(3, "x1^2*x3", "x2^3")

@@ -137,7 +137,7 @@ class TestHilbert:
     def test_additive_over_torsion(self, M, d):
         if M.is_zero():
             return
-        L = M.torsion_submodule(MonomialIdeal.prefix(M.nvars, 1))
+        L = M.torsion_submodule(MonomialIdeal.variables(M.nvars, (1,)))
         sub = Subquotient(L, M.denominator)
         quot = Subquotient(M.numerator, L)
         parts = hilbert_function(sub, d) + hilbert_function(quot, d)
@@ -238,7 +238,7 @@ class TestTopDegree:
         if indices:
             powers = I(n, *(f"x{i}^{data.draw(st.integers(1, 3))}" for i in indices))
             M = Subquotient(M.numerator.add(powers), M.denominator.add(powers))
-        maximal = MonomialIdeal.prefix(n, n)
+        maximal = MonomialIdeal.variables(n, range(1, n + 1))
         expected = M.denominator.saturate(maximal).contains(M.numerator)
         assert M.is_artinian() == expected
 
