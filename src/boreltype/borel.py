@@ -86,7 +86,7 @@ def borel_verdict(module: Subquotient) -> BorelVerdict:
     prefix = [None]
     running = None  # J : (x1..xi)^inf
     for i in range(1, n + 1):
-        sat = den.saturate(MonomialIdeal.principal(Monomial.variable(i, n)))
+        sat = den.saturate((i,))
         running = sat if running is None else running.intersect(sat)
         single.append(sat.intersect(num))
         prefix.append(running.intersect(num))
@@ -235,22 +235,23 @@ def torsion_identity_report(module: Subquotient) -> dict:
     at the least variable of their support.  Input must be a nonzero module
     of Borel type.
 
-    The torsion submodule at a principal ideal (u) is I meet (J : u^infinity),
-    and J : u^infinity only depends on the support of u: a monomial m lies in
-    it when some power u^k puts m u^k in J, and u^k and the product of the
+    The torsion submodule at a monomial u is I meet (J : u^infinity), and
+    J : u^infinity only depends on the support of u: a monomial m lies in it
+    when some power u^k puts m u^k in J, and u^k and the product of the
     variables of supp(u) divide powers of each other.  So each torsion
-    submodule is computed once per distinct support.  The loops, their order
-    and the first counterexample are those of one computation per monomial.
+    submodule is named by its support tuple and computed once: (j..j+p) for
+    a consecutive product, supp(u) and its least index for a sample u.  The
+    loops, their order and the first counterexample are those of one
+    computation per monomial.
     """
     require_borel(module, "torsion_identity_report")
     n = module.nvars
     by_support: dict[tuple[int, ...], MonomialIdeal] = {}
 
-    def torsion_at(u: Monomial) -> MonomialIdeal:
-        key = u.support()
-        if key not in by_support:
-            by_support[key] = module.torsion_submodule(MonomialIdeal.principal(u))
-        return by_support[key]
+    def torsion_at(support: tuple[int, ...]) -> MonomialIdeal:
+        if support not in by_support:
+            by_support[support] = module.torsion_submodule(support)
+        return by_support[support]
 
     report = {
         "consecutive_products": True,
@@ -258,19 +259,16 @@ def torsion_identity_report(module: Subquotient) -> dict:
         "counterexample": None,
     }
     for j in range(1, n + 1):
-        base = torsion_at(Monomial.variable(j, n))
+        base = torsion_at((j,))
         for p in range(0, n - j + 1):
-            exps = [0] * n
-            for t in range(j, j + p + 1):
-                exps[t - 1] = 1
-            if torsion_at(Monomial(tuple(exps))) != base:
+            if torsion_at(tuple(range(j, j + p + 1))) != base:
                 report["consecutive_products"] = False
                 report["counterexample"] = {"kind": "product", "j": j, "p": p}
                 return report
     for d in range(1, TORSION_SAMPLE_DEGREE + 1):
         for u in monomials_of_degree(n, d):
-            least = u.support()[0]  # u is not the unit, as d >= 1
-            if torsion_at(u) != torsion_at(Monomial.variable(least, n)):
+            support = u.support()  # nonempty, as d >= 1
+            if torsion_at(support) != torsion_at(support[:1]):
                 report["support_reduction"] = False
                 report["counterexample"] = {"kind": "monomial", "u": str(u)}
                 return report

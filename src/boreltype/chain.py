@@ -8,6 +8,8 @@ by the trailing variables, which is what the regularity formula consumes.
 Each ChainStep is built whole in build_chain: its index r and ideal L, the
 quotient L/L_prev, that quotient's reduction by x_{r+1}..x_n, its dimension
 n - r and its prime (x1..xr), so every reader takes all four from the step.
+Each torsion submodule is named by its variable set: the x_i-torsion of a
+module is module.torsion_submodule((i,)).
 
 Every reader of the chain's numbers refuses in one order: prepare refuses the
 zero module, a non-Borel module, a failed construction and a reduced top
@@ -78,12 +80,6 @@ class SequentialChain:
         return [s.variable_index for s in self.steps]
 
 
-def _variable_torsion(module: Subquotient, i: int) -> MonomialIdeal:
-    return module.torsion_submodule(
-        MonomialIdeal.principal(Monomial.variable(i, module.nvars))
-    )
-
-
 @lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def build_chain(module: Subquotient) -> SequentialChain:
     """Construct the sequential chain, guarding against non-Borel inputs.
@@ -99,7 +95,7 @@ def build_chain(module: Subquotient) -> SequentialChain:
         raise ZeroModuleError("the zero module has no sequential chain")
     n = module.nvars
     num = module.numerator
-    if _variable_torsion(module, 1) != num:
+    if module.torsion_submodule((1,)) != num:
         raise NotBorelTypeError(
             f"x1-torsion does not exhaust {module}; the chain is undefined"
         )
@@ -110,7 +106,7 @@ def build_chain(module: Subquotient) -> SequentialChain:
         remaining = Subquotient(num, current)
         index = None
         for j in range(n, 0, -1):
-            if _variable_torsion(remaining, j) != current:
+            if remaining.torsion_submodule((j,)) != current:
                 index = j
                 break
         if index is None:
@@ -122,7 +118,7 @@ def build_chain(module: Subquotient) -> SequentialChain:
                 f"chain index failed to decrease at x{index}; {module} is not "
                 "of Borel type"
             )
-        lifted = _variable_torsion(module, index)
+        lifted = module.torsion_submodule((index,))
         if not lifted.contains(current) or lifted == current:
             raise NotBorelTypeError(
                 f"chain ideal at x{index} does not strictly extend the previous "
@@ -181,7 +177,7 @@ def _trailing_sequence_regular(step: ChainStep) -> bool:
         x = Monomial.variable(j, n)
         if not denominator.contains(denominator.colon_monomial(x).intersect(top)):
             return False
-        denominator = denominator.add(MonomialIdeal.principal(x).multiply(top))
+        denominator = denominator.add(top.multiply(MonomialIdeal.variables(n, (j,))))
     return True
 
 
@@ -243,7 +239,7 @@ def torsion_ladder_matches_chain(chain: SequentialChain) -> bool:
     module = chain.base
     distinct: list[MonomialIdeal] = []
     for i in range(module.nvars, 0, -1):
-        value = _variable_torsion(module, i)
+        value = module.torsion_submodule((i,))
         if value == module.denominator:
             continue
         if not distinct or value != distinct[-1]:
@@ -264,7 +260,7 @@ def dimension_filtration_report(ideal: MonomialIdeal) -> dict:
     entries = []
     for i in range(1, n + 1):
         via_decomposition = dimension_filtration(ideal, n - i)
-        via_torsion = _variable_torsion(module, i)
+        via_torsion = module.torsion_submodule((i,))
         entries.append(
             {
                 "i": i,
@@ -284,14 +280,11 @@ def iterated_saturation_chain(ideal: MonomialIdeal) -> list[tuple[int, MonomialI
     """
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("the iterated saturation chain needs a proper nonzero ideal")
-    n = ideal.nvars
     out = []
     current = ideal
     while not current.is_unit():
         bounds = current.max_exponents()
         index = max(i + 1 for i, e in enumerate(bounds) if e > 0)
-        current = current.saturate(
-            MonomialIdeal.principal(Monomial.variable(index, n))
-        )
+        current = current.saturate((index,))
         out.append((index, current))
     return out

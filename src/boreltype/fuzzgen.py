@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .monomial import Monomial, MonomialIdeal
+from .errors import DimensionMismatchError
+from .monomial import Monomial, MonomialIdeal, _ideal_from_exps
 from .subquotient import Subquotient
 
 GENERATORS = ("borel", "random")
@@ -27,20 +28,24 @@ def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> Monomial
 
 def exchange_closure_ideal(nvars: int, monomials) -> MonomialIdeal:
     """The ideal generated by the closure of the given monomials under the
-    moves x_j * u / x_i for j < i in the support of u."""
-    seen = set(monomials)
+    moves x_j * u / x_i for j < i in the support of u, each one edit of u's
+    exponent tuple."""
+    seen = {u.exps for u in monomials}
+    if any(len(u) != nvars for u in seen):
+        raise DimensionMismatchError(
+            f"a monomial to close is not over {nvars} variables"
+        )
     queue = list(seen)
     while queue:
         u = queue.pop()
-        for i in u.support():
-            for j in range(1, i):
-                moved = u.div(Monomial.variable(i, nvars)).mul(
-                    Monomial.variable(j, nvars)
-                )
-                if moved not in seen:
-                    seen.add(moved)
-                    queue.append(moved)
-    return MonomialIdeal(nvars, tuple(seen))
+        for i, e in enumerate(u):
+            if e:
+                for j in range(i):
+                    moved = (*u[:j], u[j] + 1, *u[j + 1 : i], e - 1, *u[i + 1 :])
+                    if moved not in seen:
+                        seen.add(moved)
+                        queue.append(moved)
+    return _ideal_from_exps(nvars, seen)
 
 
 def random_borel_fixed_ideal(

@@ -31,13 +31,13 @@ whose generators all lie in the other is returned itself, with no new ideal
 built.  ``add_monomial`` (I + (m), as the filtration builder places its
 witnesses) needs no minimalization: it keeps m and the generators m does not
 divide, or returns I when m lies in it.  It and ``_ideal_from_exps`` build
-their results through ``_trusted_ideal``, as does ``principal`` after its
-check: one monomial is minimal by construction.
+their results through ``_trusted_ideal``.
 
-Saturations are memoized in one place, the bounded module-level
-``lru_cache`` of ``_saturate_monomial``: the saturation of an ideal at a
-single monomial, keyed by the ideal and the monomial's support.  Every
-saturation by an ideal is an intersection of those.
+Saturations are named by their variable set: ``saturate(support)`` takes an
+ascending tuple of 1-based variable indices and returns the saturation at the
+product of those variables, which every monomial with that support shares.
+They are memoized in one place, the bounded module-level ``lru_cache`` of
+``_saturate_monomial``, keyed by the ideal and the support.
 
 The text grammar used everywhere (CLI included): a monomial is ``1`` or
 ``*``-separated factors ``x3`` / ``x3^2``; an ideal is one generator per line,
@@ -49,9 +49,9 @@ from __future__ import annotations
 import re
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress, count
-from operator import add, le, sub
+from operator import add, le, lt, sub
 
 from .errors import DimensionMismatchError, GuardExceededError, ParseError
 
@@ -120,16 +120,6 @@ class Monomial:
         if len(a) != len(b):
             self._check(other)
         return all(map(le, a, b))
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return trusted_monomial(tuple(map(add, self.exps, other.exps)))
-
-    def div(self, other: "Monomial") -> "Monomial":
-        """Exact division; raises ValueError when other does not divide self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return trusted_monomial(tuple(map(sub, self.exps, other.exps)))
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the variables dividing this monomial."""
@@ -289,12 +279,6 @@ class MonomialIdeal:
         return MonomialIdeal(nvars, (Monomial.unit(nvars),))
 
     @staticmethod
-    def principal(m: Monomial) -> "MonomialIdeal":
-        if not isinstance(m, Monomial):
-            raise TypeError(f"generator {m!r} is not a Monomial")
-        return _trusted_ideal(m.nvars, (m.exps,))
-
-    @staticmethod
     def variables(nvars: int, indices) -> "MonomialIdeal":
         """The prime ideal generated by the listed variables (1-based)."""
         return MonomialIdeal(nvars, tuple(Monomial.variable(i, nvars) for i in indices))
@@ -413,14 +397,16 @@ class MonomialIdeal:
             self.nvars, {tuple(map(sub, map(max, m, b), b)) for m in self.exps}
         )
 
-    def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(self : other^infinity), the intersection of the saturations at
-        each minimal generator of other."""
-        if other.is_zero():
-            raise ValueError("saturation by the zero ideal is undefined")
-        self._check(other)
-        parts = [_saturate_monomial(self, _support(u)) for u in other.exps]
-        return reduce(MonomialIdeal.intersect, parts)
+    def saturate(self, support: tuple[int, ...]) -> "MonomialIdeal":
+        """(self : u^infinity) for the product u of the variables x_i, i in
+        support, an ascending tuple of 1-based indices; the empty support
+        names the unit and gives the ideal itself."""
+        if not all(map(lt, (0, *support), (*support, self.nvars + 1))):
+            raise ValueError(
+                f"saturation support {support} is not ascending "
+                f"within x1..x{self.nvars}"
+            )
+        return _saturate_monomial(self, support)
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max of generator exponents; all zero for the zero ideal."""
@@ -484,8 +470,7 @@ def _split_by_membership(gens, other) -> tuple[list, list]:
 
 
 def _support(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """1-based indices of the variables with a positive exponent; the key of
-    the saturation memo."""
+    """1-based indices of the variables with a positive exponent."""
     return tuple(compress(count(1), exps))
 
 

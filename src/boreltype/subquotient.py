@@ -58,15 +58,15 @@ class Subquotient:
     def is_cyclic(self) -> bool:
         return self.numerator.is_unit()
 
-    def torsion_submodule(self, support: MonomialIdeal) -> MonomialIdeal:
-        """The ideal L with L/J = the submodule killed by a power of ``support``.
+    def torsion_submodule(self, support: tuple[int, ...]) -> MonomialIdeal:
+        """The ideal L with L/J = the submodule killed by a power of the
+        product of the variables x_i, i in ``support``, an ascending tuple of
+        1-based indices; every monomial with that support kills the same one.
 
-        Computed as I intersected with the saturation of J by the support
-        ideal.  Saturating by the unit ideal returns J itself, so the torsion
-        submodule at the unit ideal is zero, as it should be.
+        Computed as I intersected with J's saturation at that support.  The
+        empty support names the unit, whose saturation is J itself, so its
+        torsion submodule is zero (L = J), as it should be.
         """
-        if support.is_zero():
-            raise ValueError("torsion support must be a nonzero ideal")
         return self.denominator.saturate(support).intersect(self.numerator)
 
     def truncate(self, degree: int) -> "Subquotient":

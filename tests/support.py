@@ -2,18 +2,22 @@
 
 Everything in the raw_* family works on plain exponent tuples and never calls
 into the package, so it can serve as an independent oracle for membership,
-colon, intersection, and saturation results.  The three exceptions are the
+colon, intersection, and saturation results.  The four exceptions are the
 ideal-building loops the package's cheaper routes must agree with:
-raw_borel_verdict, which builds every torsion submodule from its support
-ideal, raw_torsion_identity_report, which calls the package's torsion
-submodule for every monomial it tests, and raw_step_violations, which builds
-each filtration step's extension and colon ideals.  hilbert_function counts one
-degree of a module with the package's membership test; it is the independent
-check of Subquotient.artinian_hilbert.
+raw_saturate, which saturates by iterating the package's colon and
+intersection, never its saturation kernel; raw_borel_verdict, which takes
+the single-variable torsion submodules from the package and saturates every
+initial segment afresh with raw_saturate; raw_torsion_identity_report,
+which calls the package's torsion submodule at the support of every monomial
+it tests; and raw_step_violations, which builds each filtration step's
+extension and colon ideals.  hilbert_function counts one degree of a module
+with the package's membership test; it is the independent check of
+Subquotient.artinian_hilbert.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -115,6 +119,22 @@ def raw_saturation(gens, sat):
     for part in parts[1:]:
         meet = raw_meet(meet, part)
     return meet
+
+
+def raw_saturate(ideal: MonomialIdeal, gens) -> MonomialIdeal:
+    """The saturation of the ideal at the ideal generated by the exponent
+    tuples gens (at least one): J <- meet over g of (J : g), from J = ideal,
+    until J stops changing.  It takes colons and meets from the package, and
+    never its saturation kernel, which zeroes exponents on a support."""
+    colons = [Monomial(g) for g in gens]
+    current = ideal
+    while True:
+        following = functools.reduce(
+            MonomialIdeal.intersect, [current.colon_monomial(g) for g in colons]
+        )
+        if following == current:
+            return current
+        current = following
 
 
 def raw_associated_primes(numerator, denominator):
@@ -317,20 +337,19 @@ def raw_betti_entries(gens, nvars: int, rank):
 
 
 def raw_borel_verdict(module: Subquotient) -> BorelVerdict:
-    """The Borel verdict with each torsion submodule built from its support
-    ideal: (x_i) for the single variables and (x1..xi) for the initial
-    segments, so every segment is saturated afresh.  The associated primes
-    are the package's; no disagreement is raised."""
+    """The Borel verdict with the single-variable torsion submodules from the
+    package and each initial segment (x1..xi) saturated afresh by
+    raw_saturate, not folded into a running meet of the package's
+    saturations.  The associated primes are the package's; no disagreement
+    is raised."""
     n = module.nvars
     if module.is_zero():
         return BorelVerdict(True, True, True, (), (), (), (), note="zero module")
-    single = {
-        i: module.torsion_submodule(MonomialIdeal.principal(Monomial.variable(i, n)))
-        for i in range(1, n + 1)
-    }
+    num, den = module.numerator, module.denominator
+    single = {i: module.torsion_submodule((i,)) for i in range(1, n + 1)}
+    variables = [tuple(int(i == j) for i in range(1, n + 1)) for j in range(1, n + 1)]
     prefix = {
-        i: module.torsion_submodule(MonomialIdeal.variables(n, range(1, i + 1)))
-        for i in range(1, n + 1)
+        i: raw_saturate(den, variables[:i]).intersect(num) for i in range(1, n + 1)
     }
     sat_failures = tuple(i for i in range(1, n + 1) if single[i] != prefix[i])
     pair_failures = tuple(
@@ -360,7 +379,7 @@ def raw_torsion_identity_report(module: Subquotient) -> dict:
     n = module.nvars
 
     def torsion(exps):
-        return module.torsion_submodule(MonomialIdeal.principal(Monomial(tuple(exps))))
+        return module.torsion_submodule(tuple(i for i, e in enumerate(exps, 1) if e))
 
     def variable(j):
         return tuple(int(i == j) for i in range(1, n + 1))

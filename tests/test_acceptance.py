@@ -174,7 +174,7 @@ def test_criterion_8_structural_property_suites(borel_corpus, mixed_corpus):
             (g for g in M.numerator.gens if not M.denominator.member(g)), None
         )
         if witness is not None:
-            middle = M.denominator.add(MonomialIdeal.principal(witness))
+            middle = M.denominator.add(MonomialIdeal(M.nvars, (witness,)))
             sub = Subquotient(middle, M.denominator)
             quot = Subquotient(M.numerator, middle)
             whole = borel_verdict(M).is_borel

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boreltype import (
-    Monomial,
     MonomialIdeal,
     Subquotient,
     borel_verdict,
@@ -22,6 +21,7 @@ from boreltype import (
     truncation_stability_degree,
 )
 from boreltype.errors import (
+    DimensionMismatchError,
     InternalInconsistencyError,
     NotBorelTypeError,
     ZeroModuleError,
@@ -107,7 +107,7 @@ class TestVerdict:
         )
         if witness is None:
             return
-        middle = M.denominator.add(MonomialIdeal.principal(witness))
+        middle = M.denominator.add(MonomialIdeal(M.nvars, (witness,)))
         sub = Subquotient(middle, M.denominator)
         quot = Subquotient(M.numerator, middle)
         whole = borel_verdict(M).is_borel
@@ -138,8 +138,9 @@ class TestIdealCriterion:
 
     def test_saturation_detail_of_the_negative_case(self):
         J = I(2, "x2^2")
-        assert J.saturate(I(2, "x2")) == MonomialIdeal.unit(2)
-        assert J.saturate(I(2, "x1", "x2")) == J
+        assert J.saturate((2,)) == MonomialIdeal.unit(2)
+        # the saturation at (x1, x2) as borel_verdict folds it
+        assert J.saturate((1,)).intersect(J.saturate((2,))) == J
 
     def test_zero_and_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -219,6 +220,17 @@ class TestStronglyStable:
         closed = exchange_closure_ideal(J.nvars, J.gens)
         assert is_strongly_stable_ideal(closed)
         assert closed.contains(J)
+
+    def test_exchange_closure_golden(self):
+        # x2*x3 moves to x1*x3, x2^2 and x1*x2, and those on to x1^2
+        closed = exchange_closure_ideal(3, I(3, "x2*x3").gens)
+        assert closed == I(3, "x1^2", "x1*x2", "x1*x3", "x2^2", "x2*x3")
+        assert exchange_closure_ideal(3, ()).is_zero()
+
+    def test_exchange_closure_refuses_mixed_variable_counts(self):
+        message = "^a monomial to close is not over 3 variables$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            exchange_closure_ideal(3, I(2, "x2").gens)
 
 
 def assert_least_degree_matches_scan(M, scan_to=6):
@@ -336,8 +348,8 @@ class TestTorsionIdentities:
         assert report["counterexample"] is None
         # the identity behind the report, spelled out once: torsion at x1*x2
         # equals torsion at x1, and both are the whole module here
-        at_product = M.torsion_submodule(MonomialIdeal.principal(Monomial((1, 1))))
-        at_least_var = M.torsion_submodule(MonomialIdeal.principal(Monomial((1, 0))))
+        at_product = M.torsion_submodule((1, 2))
+        at_least_var = M.torsion_submodule((1,))
         assert at_product == at_least_var == MonomialIdeal.unit(2)
 
     def test_requires_borel(self):
@@ -370,7 +382,7 @@ class TestTorsionIdentities:
         original = Subquotient.torsion_submodule
 
         def counting(module, support):
-            supports.append(support.gens[0].support())
+            supports.append(support)
             return original(module, support)
 
         monkeypatch.setattr(Subquotient, "torsion_submodule", counting)
@@ -392,7 +404,7 @@ class TestTorsionIdentities:
         original = Subquotient.torsion_submodule
 
         def corrupting(module, support):
-            if support.gens[0].support() == corrupted:
+            if support == corrupted:
                 return MonomialIdeal.zero(module.nvars)
             return original(module, support)
 

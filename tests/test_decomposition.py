@@ -224,7 +224,7 @@ class TestAssociatedPrimes:
         )
         if witness is None:
             return
-        middle = M.denominator.add(MonomialIdeal.principal(witness))
+        middle = M.denominator.add(MonomialIdeal(M.nvars, (witness,)))
         sub = Subquotient(middle, M.denominator)
         quot = Subquotient(M.numerator, middle)
         ass_m = set(associated_primes(M))

@@ -45,6 +45,7 @@ from .support import (
     modules,
     nonunit_tuples,
     raw_ideals,
+    raw_mul,
     raw_primes_never_grow,
     raw_step_violations,
     raw_witnesses,
@@ -167,7 +168,7 @@ def filtration_steps(draw):
     previous = ideal_of(nvars, draw(raw_ideals(nvars, max_exp=max_exp)))
     if draw(st.booleans()):
         g = draw(st.sampled_from(previous.gens))
-        witness = g.mul(Monomial(draw(exponent_tuples(nvars, 1))))
+        witness = Monomial(raw_mul(g.exps, draw(exponent_tuples(nvars, 1))))
     else:
         witness = Monomial(draw(exponent_tuples(nvars, max_exp)))
     colon = previous.colon_monomial(witness)
@@ -240,7 +241,7 @@ class TestStepChecks:
     def test_golden_colon_is_not_the_prime(self, gens, witness, variables):
         previous = I(2, *gens)
         w = Monomial(witness)
-        step = FiltrationStep(previous.add(MonomialIdeal.principal(w)), w, P(2, *variables))
+        step = FiltrationStep(previous.add(MonomialIdeal(2, (w,))), w, P(2, *variables))
         base = Subquotient(step.ideal, previous)
         assert self.violations(base, step) == [
             f"step 1: colon is not exactly ({step.prime})"
@@ -570,6 +571,6 @@ def _shuffled_witness_filtration(module, rng) -> PrimeFiltration:
                 and not current.member(m)
                 and current.colon_monomial(m) == prime_ideal
             )
-            current = current.add(MonomialIdeal.principal(witness))
+            current = current.add(MonomialIdeal(n, (witness,)))
             steps.append(FiltrationStep(current, witness, prime))
     return PrimeFiltration(module, tuple(steps))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from boreltype import subquotient as subquotient_module
 from boreltype import (
-    Monomial,
     MonomialIdeal,
     Subquotient,
     borel_verdict,
@@ -26,8 +25,8 @@ from .support import (
     modules,
     nonunit_tuples,
     raw_artinian_hilbert,
-    raw_ideals,
     raw_member,
+    raw_saturate,
     tuples_of_degree,
 )
 
@@ -65,24 +64,28 @@ class TestConstruction:
 class TestTorsion:
     def test_golden(self):
         M = Subquotient.cyclic(I(2, "x1^2", "x1*x2"))
-        assert M.torsion_submodule(I(2, "x2")) == I(2, "x1")
+        assert M.torsion_submodule((2,)) == I(2, "x1")
         hypersurface = Subquotient.cyclic(I(2, "x1"))
-        assert hypersurface.torsion_submodule(I(2, "x2")) == I(2, "x1")
-        assert hypersurface.torsion_submodule(I(2, "x1")) == MonomialIdeal.unit(2)
+        assert hypersurface.torsion_submodule((2,)) == I(2, "x1")
+        assert hypersurface.torsion_submodule((1,)) == MonomialIdeal.unit(2)
+        assert M.torsion_submodule((1, 2)) == MonomialIdeal.unit(2)
 
-    def test_zero_support_rejected(self):
-        M = Subquotient.cyclic(I(2, "x1"))
-        with pytest.raises(ValueError):
-            M.torsion_submodule(MonomialIdeal.zero(2))
+    @pytest.mark.parametrize("support", [(2, 1), (1, 1), (0,), (3,), (1, 3)])
+    def test_support_not_ascending_in_range_rejected(self, support):
+        M = Subquotient(I(2, "x1", "x2"), I(2, "x1^2", "x2^2"))
+        with pytest.raises(ValueError, match="^saturation support .* x1..x2$"):
+            M.torsion_submodule(support)
 
-    @given(M=modules(), gens=raw_ideals(2, max_gens=2))
+    @given(M=modules())
     @settings(deadline=None, max_examples=60)
-    def test_torsion_is_intermediate(self, M, gens):
-        if gens and len(gens[0]) != M.nvars:
-            gens = [g[: M.nvars] + (0,) * (M.nvars - len(g)) for g in gens]
-        support = MonomialIdeal(M.nvars, tuple(Monomial(g) for g in gens if any(g)))
-        if support.is_zero():
-            return
+    def test_torsion_at_the_empty_support_is_the_denominator(self, M):
+        # the empty support names the unit, which kills only zero: L = J
+        assert M.torsion_submodule(()) == M.denominator
+
+    @given(M=modules(), data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_torsion_is_intermediate(self, M, data):
+        support = tuple(sorted(data.draw(st.sets(st.integers(1, M.nvars)))))
         L = M.torsion_submodule(support)
         assert M.numerator.contains(L)
         assert L.contains(M.denominator)
@@ -90,25 +93,24 @@ class TestTorsion:
     @given(M=modules(max_vars=3), u=nonunit_tuples(3))
     @settings(deadline=None, max_examples=60)
     def test_torsion_radical_invariance(self, M, u):
+        # the torsion at u's support is the torsion at u itself, saturated
+        # by colons with u until they stop growing
         u = u[: M.nvars]
         if not any(u):
             return
-        mono = Monomial(u)
-        radical = Monomial(tuple(min(e, 1) for e in u))
-        assert M.torsion_submodule(
-            MonomialIdeal.principal(mono)
-        ) == M.torsion_submodule(MonomialIdeal.principal(radical))
+        support = tuple(i for i, e in enumerate(u, 1) if e)
+        at_u = raw_saturate(M.denominator, [u]).intersect(M.numerator)
+        assert M.torsion_submodule(support) == at_u
 
-    @given(M=modules(max_vars=3), gens=raw_ideals(3, max_gens=2))
+    @given(M=modules(max_vars=3), data=st.data())
     @settings(deadline=None, max_examples=60)
-    def test_torsion_antitone(self, M, gens):
-        gens = [g[: M.nvars] for g in gens]
-        if not all(any(g) for g in gens):
-            return
-        small = MonomialIdeal(M.nvars, (Monomial(gens[0]),))
-        big = MonomialIdeal(M.nvars, tuple(Monomial(g) for g in gens))
-        # larger support ideal, smaller torsion submodule
-        assert M.torsion_submodule(small).contains(M.torsion_submodule(big))
+    def test_torsion_grows_with_the_support(self, M, data):
+        # what a power of x_i kills, a power of x_i x_j kills too
+        big = data.draw(st.sets(st.integers(1, M.nvars), min_size=1))
+        small = data.draw(st.sets(st.sampled_from(sorted(big))))
+        assert M.torsion_submodule(tuple(sorted(big))).contains(
+            M.torsion_submodule(tuple(sorted(small)))
+        )
 
 
 class TestHilbert:
@@ -137,7 +139,7 @@ class TestHilbert:
     def test_additive_over_torsion(self, M, d):
         if M.is_zero():
             return
-        L = M.torsion_submodule(MonomialIdeal.variables(M.nvars, (1,)))
+        L = M.torsion_submodule((1,))
         sub = Subquotient(L, M.denominator)
         quot = Subquotient(M.numerator, L)
         parts = hilbert_function(sub, d) + hilbert_function(quot, d)
@@ -238,8 +240,8 @@ class TestTopDegree:
         if indices:
             powers = I(n, *(f"x{i}^{data.draw(st.integers(1, 3))}" for i in indices))
             M = Subquotient(M.numerator.add(powers), M.denominator.add(powers))
-        maximal = MonomialIdeal.variables(n, range(1, n + 1))
-        expected = M.denominator.saturate(maximal).contains(M.numerator)
+        maximal = [m.exps for m in MonomialIdeal.variables(n, range(1, n + 1)).gens]
+        expected = raw_saturate(M.denominator, maximal).contains(M.numerator)
         assert M.is_artinian() == expected
 
     @given(data=st.data())
