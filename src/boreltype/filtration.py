@@ -17,14 +17,21 @@ exactly when, for each i <= r, m x_i lies in C0 or its owner is placed.  A
 witness w v with v a nonunit in the trailing variables is never the least:
 w x_i and w v x_i share their owner, or lie in C0 together, so w qualifies
 whenever w v does.  So W is enumerated once and the witnesses come off a heap
-of the qualifying ones, with no colon or intersection per witness.  Each
-witness is then placed by MonomialIdeal.add_monomial, one pass over the
-current generators that keeps the witness and the generators it does not
-divide, with nothing minimalized again.  Two checks still see every placement:
-the builder's own current == target at the end of each chain step, where the
-target comes from the torsion submodules by another route, and
-verify_filtration, which re-derives each step from generator exponents in its
-own pass.
+of the qualifying ones, with no colon or intersection per witness.
+
+Placing a witness w needs no pass over the current generators: as (current :
+w) = P = (x1..xr), a generator g of current that w divides has g/w in P, so
+some w x_i, i <= r, lies in current and divides g, and minimality makes g =
+w x_i.  The generators of current + (w) are therefore w and those of current
+other than the w x_i, i <= r: the builder drops those from its set of live
+generators, adds w, and sorts, with nothing minimalized again.  The walk and
+the placements run on exponent tuples packed into one int each
+(monomial._ExponentWords), so a divisibility test is three int operations
+and a witness's tuple is its parent's with one exponent raised.  Two checks
+still see every placement: the builder's own current == target at the end of
+each chain step, where the target comes from the torsion submodules by
+another route, and verify_filtration, which re-derives each step from
+generator exponents in its own pass, on words it packs itself.
 
 Every step of a chain that passes chain.require_sequentially_cm has the
 certificate, and a step without it has no filtration by S/P factors: such a
@@ -44,7 +51,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import le
 
 from .borel import require_borel
 from .chain import (
@@ -61,7 +67,13 @@ from .decomposition import (
     prime_sort_key,
 )
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .monomial import Monomial, MonomialIdeal, trusted_monomial
+from .monomial import (
+    Monomial,
+    MonomialIdeal,
+    _ExponentWords,
+    _trusted_ideal,
+    trusted_monomial,
+)
 from .subquotient import Subquotient
 
 
@@ -91,24 +103,39 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     Each witness is the least, by (degree, exponents), of the monomials in
     the step's target outside current whose colon is exactly the step prime,
     read off the Stanley spaces (_stanley_witnesses) of the chain step's
-    quotient and reduction.  Each witness is placed by
-    current.add_monomial(witness), one pass over the current generators; the
-    placements are checked by current == target at the end of each chain
-    step, and again by verify_filtration's own pass.  A module that is not
-    sequentially Cohen-Macaulay is refused (NotSequentiallyCMError), as it has
-    no such filtration; a step whose witnesses do not reach its target is an
+    quotient and reduction.  The builder packs its exponent tuples into
+    words (monomial._ExponentWords), sized for every generator of the
+    chain's quotients and reductions.  A witness w with (current : w) =
+    (x1..xr) divides only those generators of current that are among the
+    w x_i, i <= r, so each placement drops those words from the live set of
+    current's generators and adds w, and the sorted set is already the
+    minimal generators of current + (w).  The placements are checked by
+    current == target at the end of each chain step, and again by
+    verify_filtration's own pass.  A module that is not sequentially
+    Cohen-Macaulay is refused (NotSequentiallyCMError), as it has no such
+    filtration; a step whose witnesses do not reach its target is an
     implementation defect (InternalInconsistencyError).
     """
     require_borel(module, "filtration")
     chain = build_chain(module)
     require_sequentially_cm(chain, "filtration")
-    steps: list[FiltrationStep] = []
+    n = module.nvars
     current = module.denominator
+    read = [current]
+    for step in chain.steps:
+        read += step.quotient.numerator, step.quotient.denominator, step.reduced.denominator
+    words = _ExponentWords(n, _largest_exponent(read))
+    live = set(map(words.pack, current.exps))
+    unpack, tuples = words.unpack, words.tuples
+    steps: list[FiltrationStep] = []
     for k, step in enumerate(chain.steps, 1):
         prime = step.prime
-        for witness in _stanley_witnesses(step):
-            current = current.add_monomial(witness)
-            steps.append(FiltrationStep(current, witness, prime))
+        lead = words.units[: step.variable_index]
+        for w in _stanley_witnesses(step, words):
+            live.difference_update([w + unit for unit in lead])
+            live.add(w)
+            current = _trusted_ideal(n, unpack(sorted(live)))
+            steps.append(FiltrationStep(current, trusted_monomial(tuples[w]), prime))
         if current != step.ideal:
             raise InternalInconsistencyError(
                 f"the witnesses of chain step {k} extend to {current}, "
@@ -117,17 +144,25 @@ def pretty_clean_filtration(module: Subquotient) -> PrimeFiltration:
     return PrimeFiltration(module, tuple(steps))
 
 
-def _stanley_witnesses(step: ChainStep) -> list[Monomial]:
-    """The witnesses of a certified chain step T/C0, in the order they are
-    placed: W, the standard monomials of the step's reduction, popped from a
-    heap keyed by (degree, exponents) once every m x_i, i <= r, lies in C0 or
-    has its owner placed.
+def _largest_exponent(ideals) -> int:
+    return max((max(e) for ideal in ideals for e in ideal.exps), default=0)
+
+
+def _stanley_witnesses(step: ChainStep, words: _ExponentWords) -> list[int]:
+    """The witnesses of a certified chain step T/C0 as words, in the order
+    they are placed: W, the standard monomials of the step's reduction,
+    popped from a heap keyed by (degree, word) once every m x_i, i <= r,
+    lies in C0 or has its owner placed.  Word order is exponent order, and
+    each member of W enters words.tuples with its tuple.
 
     Each w in W is g u for a generator g of T and u in K[x1..xr] (a trailing
     variable of w/g could be stripped), and each monomial between g and w is
     in W too, so W is the walk in x1..xr from T's generators outside the
-    reduced quotient's denominator.  The walk is finite exactly when the
-    reduced quotient is Artinian, which is tested first.
+    reduced quotient's denominator.  Each new member of W takes its tuple and
+    degree from the member it was reached from.  The walk is finite exactly
+    when the reduced quotient is Artinian, which is tested first; then each
+    m in W has m_i below the largest exponent of x_i in that denominator, so
+    no m x_i has an exponent the words were not sized for.
     """
     quotient, reduced, r = step.quotient, step.reduced, step.variable_index
     n = quotient.nvars
@@ -136,46 +171,55 @@ def _stanley_witnesses(step: ChainStep) -> list[Monomial]:
             f"the reduced quotient {reduced} of a certified chain step at "
             f"x{r} is not Artinian"
         )
-    target, start, lowered = quotient.numerator, quotient.denominator, reduced.denominator
+    pack, member, tuples = words.pack, words.member, words.tuples
+    target = list(map(pack, quotient.numerator.exps))
+    start = list(map(pack, quotient.denominator.exps))
+    lowered = list(map(pack, reduced.denominator.exps))
+    trailing = tuple(zip(words.units, words.fields))[r:]
 
     def owner(e):
         # a divisor of a monomial outside T is outside T, so one pass over
         # the trailing variables strips each as far as it goes
-        for j in range(r, n):
-            while e[j]:
-                lower = e[:j] + (e[j] - 1,) + e[j + 1 :]
-                if not target._member_exps(lower):
+        for unit, field in trailing:
+            while e & field:
+                lower = e - unit
+                if not member(lower, target):
                     break
                 e = lower
         return e
 
-    frontier = [e for e in target.exps if not lowered._member_exps(e)]
+    frontier = [e for e in target if not member(e, lowered)]
+    degree = {e: sum(tuples[e]) for e in frontier}
     waiting = dict.fromkeys(frontier, 0)  # W, with each one's unplaced owners
     dependents = defaultdict(list)
+    lead = tuple(enumerate(words.units[:r]))
     while frontier:
         e = frontier.pop()
-        for i in range(r):
-            up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+        for i, unit in lead:
+            up = e + unit
             if up not in waiting:
-                if not lowered._member_exps(up):
+                if not member(up, lowered):
                     waiting[up] = 0
+                    t = tuples[e]
+                    tuples[up] = t[:i] + (t[i] + 1,) + t[i + 1 :]
+                    degree[up] = degree[e] + 1
                     frontier.append(up)
-                elif r == n or start._member_exps(up):  # for r = n, lowered is C0
+                elif r == n or member(up, start):  # for r = n, lowered is C0
                     continue
                 else:
                     up = owner(up)
             waiting[e] += 1
             dependents[up].append(e)
-    ready = [(sum(e), e) for e, count in waiting.items() if not count]
+    ready = [(degree[e], e) for e, count in waiting.items() if not count]
     heapify(ready)
     order = []
     while ready:
         _, e = heappop(ready)
-        order.append(trusted_monomial(e))
+        order.append(e)
         for d in dependents[e]:
             waiting[d] -= 1
             if not waiting[d]:
-                heappush(ready, (sum(d), d))
+                heappush(ready, (degree[d], d))
     return order
 
 
@@ -213,41 +257,73 @@ def verify_filtration(filtration: PrimeFiltration) -> dict:
     previous ideal exactly when some E(g) is empty.  Otherwise the minimal
     generators of previous + (w) are w and the g that w does not divide,
     sorted; if w lies in previous, previous + (w) is previous itself.
+
+    The pass runs on its own words (monomial._ExponentWords), never the
+    builder's: E(g) is the guard bits of ~((w | guards) - g), P is a mask
+    of guard bits, and the extension is sorted as words and unpacked.  When
+    a step's ideal is that extension, the extension's words are the next
+    step's previous ideal; otherwise the step's ideal is packed afresh, with
+    wider fields if one of its exponents needs them.
     """
     module = filtration.base
     violations = []
     previous = module.denominator
     n = previous.nvars
-    for k, step in enumerate(filtration.steps, 1):
-        w = step.witness.exps
-        if len(w) != n:
+    witnesses = [s.witness.exps for s in filtration.steps]
+    largest = _largest_exponent((module.numerator, previous))
+    words = _ExponentWords(n, max(largest, max(map(max, witnesses), default=0)))
+    pack, guards, shift, units = words.pack, words.guards, words.guard_shift, words.units
+    gens = list(map(pack, previous.exps))
+    for k, (step, witness) in enumerate(zip(filtration.steps, witnesses), 1):
+        if len(witness) != n:
             raise DimensionMismatchError(
-                f"generator over {len(w)} variables in a {n}-variable ideal"
+                f"generator over {len(witness)} variables in a {n}-variable ideal"
             )
-        prime = {v - 1 for v in step.prime.variables}
-        inside = False  # whether w lies in previous
+        w = pack(witness)
+        raised = w | guards
         colon_in_prime = step.prime.nvars == n
-        bumped = set()  # the i with x_i a generator of (previous : w)
+        prime = 0  # the guard bits of the prime's variables
+        if colon_in_prime:
+            for v in step.prime.variables:
+                prime |= units[v - 1]
+            prime <<= shift
+        inside = False  # whether w lies in previous
+        bumped = 0  # the guard bits of the x_i that generate (previous : w)
         extension = [w]
-        for e in previous.exps:
-            above = [j for j in range(n) if e[j] > w[j]]
-            if not above:
-                inside = True
-            if prime.isdisjoint(above):
+        for g in gens:
+            above = ~(raised - g) & guards
+            if not above & prime:
                 colon_in_prime = False
-            elif len(above) == 1 and e[above[0]] == w[above[0]] + 1:
-                bumped.add(above[0])
-            if not all(map(le, w, e)):
-                extension.append(e)
-        expected = previous.exps if inside else tuple(sorted(extension))
-        if step.ideal.exps != expected:
+                if not above:
+                    inside = True
+            elif not above & (above - 1):
+                # E(g) = {i}: g divides w x_i exactly when g_i = w_i + 1
+                if (((w + (above >> shift)) | guards) - g) & guards == guards:
+                    bumped |= above
+            if ((g | guards) - w) & guards != guards:
+                extension.append(g)
+        if inside:
+            extension, expected = gens, previous.exps
+        else:
+            extension.sort()
+            expected = words.unpack(extension)
+        previous = step.ideal
+        carried = previous.exps == expected
+        if not carried:
             violations.append(f"step {k}: ideal is not the previous one plus witness")
         if inside:
             violations.append(f"step {k}: witness already lies in the previous ideal")
-        if not (colon_in_prime and prime <= bumped):
+        if not colon_in_prime or prime & ~bumped:
             violations.append(f"step {k}: colon is not exactly ({step.prime})")
-        previous = step.ideal
-        n = previous.nvars
+        if carried and previous.nvars == n:
+            gens = extension
+        else:
+            n = previous.nvars
+            largest = _largest_exponent((previous,))
+            if n != len(words.units) or largest > words.largest:
+                words = _ExponentWords(n, max(largest, words.largest))
+                pack, guards, shift, units = words.pack, words.guards, words.guard_shift, words.units
+            gens = list(map(pack, previous.exps))
     if previous != module.numerator:
         violations.append("filtration does not end at the whole module")
     pretty = primes_never_grow([s.prime for s in filtration.steps])

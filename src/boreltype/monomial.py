@@ -28,10 +28,15 @@ its checks.  ``intersect`` first sorts
 each operand's generators by membership in the other: those that lie in it
 are kept as they are and lcms are formed only between the rest, so an operand
 whose generators all lie in the other is returned itself, with no new ideal
-built.  ``add_monomial`` (I + (m), as the filtration builder places its
-witnesses) needs no minimalization: it keeps m and the generators m does not
-divide, or returns I when m lies in it.  It and ``_ideal_from_exps`` build
-their results through ``_trusted_ideal``.
+built.  ``_ideal_from_exps`` builds its results through ``_trusted_ideal``,
+which the filtration builder also calls with generators it already knows to
+be minimal.
+
+``_ExponentWords`` packs the exponent tuples of one pass into one int each,
+for the filtration builder's and verifier's loops, which test divisibility
+many times over a fixed set of tuples: a divisibility test is then three int
+operations, and int order is lexicographic tuple order.  Each pass makes its
+own instance from its own inputs and unpacks through the instance's dict.
 
 Saturations are named by their variable set: ``saturate(support)`` takes an
 ascending tuple of 1-based variable indices and returns the saturation at the
@@ -47,11 +52,10 @@ or the keyword ``unit``.
 from __future__ import annotations
 
 import re
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
-from operator import add, le, lt, sub
+from operator import add, le, lt, mul, sub
 
 from .errors import DimensionMismatchError, GuardExceededError, ParseError
 
@@ -266,7 +270,7 @@ class MonomialIdeal:
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as monomials, in ascending order.  Built on
         each read and not kept, so ideals that share exponent tuples (as
-        ``add_monomial``'s results share their predecessor's) hold no
+        the steps of a filtration share their predecessor's) hold no
         second copy of them."""
         return tuple(map(trusted_monomial, self.exps))
 
@@ -280,8 +284,11 @@ class MonomialIdeal:
 
     @staticmethod
     def variables(nvars: int, indices) -> "MonomialIdeal":
-        """The prime ideal generated by the listed variables (1-based)."""
-        return MonomialIdeal(nvars, tuple(Monomial.variable(i, nvars) for i in indices))
+        """The prime ideal generated by the listed variables (1-based).
+
+        ``Monomial.variable`` checks each index, so the unit tuples are built
+        without the constructor's checks."""
+        return _ideal_from_exps(nvars, {Monomial.variable(i, nvars).exps for i in indices})
 
     @staticmethod
     def from_text_lines(nvars: int, lines) -> "MonomialIdeal":
@@ -319,29 +326,6 @@ class MonomialIdeal:
             if all(map(le, e, exps)):
                 return True
         return False
-
-    def add_monomial(self, m: Monomial) -> "MonomialIdeal":
-        """self + (m), in one pass over the generators.
-
-        self itself when some generator divides m; otherwise m and the
-        generators that m does not divide, with m at its place in ascending
-        lexicographic order: the minimal generators the constructor would
-        keep, found without minimalizing them again.
-        """
-        exps = m.exps
-        if len(exps) != self.nvars:
-            raise DimensionMismatchError(
-                f"a monomial over {len(exps)} variables added to a "
-                f"{self.nvars}-variable ideal"
-            )
-        kept = []
-        for e in self.exps:
-            if all(map(le, e, exps)):
-                return self
-            if not all(map(le, exps, e)):
-                kept.append(e)
-        insort(kept, exps)
-        return _trusted_ideal(self.nvars, tuple(kept))
 
     def contains(self, other: "MonomialIdeal") -> bool:
         """Whether self contains other as a subideal."""
@@ -453,6 +437,51 @@ def _ideal_from_exps(nvars: int, distinct) -> MonomialIdeal:
     ``MonomialIdeal(...)``.
     """
     return _trusted_ideal(nvars, _minimal_exps(distinct))
+
+
+class _ExponentWords:
+    """Exponent tuples over nvars variables packed into one int each, a word.
+
+    Each variable has a field of value bits that holds every exponent up to
+    largest + 1, with a guard bit above them; x1 has the highest field, so
+    with fixed widths ascending words are ascending lexicographic tuples.
+    Adding units[i] multiplies a word by x_i and subtracting it divides.
+    With every guard bit of m set, subtracting g clears the guard of field j
+    exactly when g_j > m_j and borrows across no field, so g divides m
+    exactly when ((m | guards) - g) & guards == guards, and
+    ~((m | guards) - g) & guards marks the j with g_j > m_j by their guards.
+    pack records each tuple it packs in ``tuples``, through which a pass
+    unpacks words it built by adding units to packed ones, provided it
+    records their tuples there too.
+    """
+
+    __slots__ = ("largest", "guard_shift", "units", "fields", "guards", "tuples")
+
+    def __init__(self, nvars: int, largest: int):
+        bits = (largest + 1).bit_length()
+        width = bits + 1
+        self.largest = largest
+        self.guard_shift = bits  # from a field's unit to its guard
+        self.units = tuple(1 << width * (nvars - 1 - i) for i in range(nvars))
+        self.fields = tuple(u * ((1 << bits) - 1) for u in self.units)
+        self.guards = sum(self.units) << bits
+        self.tuples: dict[int, tuple[int, ...]] = {}
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        word = sum(map(mul, exps, self.units))
+        self.tuples[word] = exps
+        return word
+
+    def member(self, word: int, gens) -> bool:
+        """Whether some word of gens divides word."""
+        guards = self.guards
+        for g in gens:
+            if ((word | guards) - g) & guards == guards:
+                return True
+        return False
+
+    def unpack(self, words) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.tuples.__getitem__, words))
 
 
 def _split_by_membership(gens, other) -> tuple[list, list]:

@@ -10,14 +10,16 @@ the single-variable torsion submodules from the package and saturates every
 initial segment afresh with raw_saturate; raw_torsion_identity_report,
 which calls the package's torsion submodule at the support of every monomial
 it tests; and raw_step_violations, which builds each filtration step's
-extension and colon ideals.  hilbert_function counts one degree of a module
-with the package's membership test; it is the independent check of
-Subquotient.artinian_hilbert.
+extension and colon ideals.  raw_stanley_witnesses reads the ideals of a
+chain step the package built and walks their exponent tuples itself.
+hilbert_function counts one degree of a module with the package's membership
+test; it is the independent check of Subquotient.artinian_hilbert.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -405,6 +407,60 @@ def raw_torsion_identity_report(module: Subquotient) -> dict:
                 report["counterexample"] = {"kind": "monomial", "u": str(u)}
                 return report
     return report
+
+
+def raw_stanley_witnesses(step) -> list[tuple[int, ...]]:
+    """The witnesses of a certified chain step T/C0 as exponent tuples, in
+    the order the filtration builder places them: the tuple-based walk the
+    packed one in boreltype.filtration must agree with.
+
+    W, the standard monomials of the step's Artinian reduction, is walked in
+    x1..xr from T's generators outside the reduction's denominator; a member
+    m of W waits until every m x_i, i <= r, lies in C0 or has its owner (m
+    x_i with trailing variables stripped while it stays in T) placed, and
+    the waiting ones leave a heap keyed by (degree, exponents)."""
+    quotient, reduced, r = step.quotient, step.reduced, step.variable_index
+    n = quotient.nvars
+    target, start = quotient.numerator.exps, quotient.denominator.exps
+    lowered = reduced.denominator.exps
+
+    def owner(e):
+        for j in range(r, n):
+            while e[j]:
+                lower = e[:j] + (e[j] - 1,) + e[j + 1 :]
+                if not raw_member(lower, target):
+                    break
+                e = lower
+        return e
+
+    frontier = [e for e in target if not raw_member(e, lowered)]
+    waiting = dict.fromkeys(frontier, 0)
+    dependents = {}
+    while frontier:
+        e = frontier.pop()
+        for i in range(r):
+            up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            if up not in waiting:
+                if not raw_member(up, lowered):
+                    waiting[up] = 0
+                    frontier.append(up)
+                elif r == n or raw_member(up, start):
+                    continue
+                else:
+                    up = owner(up)
+            waiting[e] += 1
+            dependents.setdefault(up, []).append(e)
+    ready = [(sum(e), e) for e, count in waiting.items() if not count]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, e = heapq.heappop(ready)
+        order.append(e)
+        for d in dependents.get(e, ()):
+            waiting[d] -= 1
+            if not waiting[d]:
+                heapq.heappush(ready, (sum(d), d))
+    return order
 
 
 def raw_step_violations(previous: MonomialIdeal, step, k: int) -> list[str]:

@@ -37,6 +37,7 @@ from boreltype.errors import (
     ZeroModuleError,
 )
 from boreltype.filtration import primes_never_grow
+from boreltype.monomial import _ExponentWords
 
 from .support import (
     exponent_tuples,
@@ -46,7 +47,9 @@ from .support import (
     nonunit_tuples,
     raw_ideals,
     raw_mul,
+    raw_member,
     raw_primes_never_grow,
+    raw_stanley_witnesses,
     raw_step_violations,
     raw_witnesses,
 )
@@ -328,6 +331,26 @@ class TestCorpus:
             assert report["pretty_clean"] and report["support_equals_ass"]
 
 
+@st.composite
+def strongly_stable_modules(draw):
+    """S/J or (J + K)/J for a strongly stable J: of Borel type, as every
+    associated prime of a submodule of S/J is one of S/J; often with several
+    chain steps, and now and then with an owner found by stripping or a step
+    that is not Cohen-Macaulay."""
+    nvars = draw(st.integers(3, 5))
+    degree = 8 - nvars
+
+    def monomials(min_size, max_size):
+        variables = st.lists(st.integers(0, nvars - 1), min_size=1, max_size=degree)
+        drawn = draw(st.lists(variables, min_size=min_size, max_size=max_size))
+        return [Monomial(tuple(v.count(i) for i in range(nvars))) for v in drawn]
+
+    J = exchange_closure_ideal(nvars, monomials(1, 3))
+    if draw(st.booleans()):
+        return Subquotient.cyclic(J)
+    return Subquotient(J.add(MonomialIdeal(nvars, tuple(monomials(1, 2)))), J)
+
+
 class TestWitnessParity:
     """The builder must pick exactly the witnesses of the exponent-box scan in
     tests/support.py, not merely valid ones: a wrong tie-break between two
@@ -413,26 +436,9 @@ class TestWitnessParity:
         M = Subquotient(I(nvars, *numerator), I(nvars, *denominator))
         assert self.matches_box_scan(M) is None
 
-    @given(data=st.data())
+    @given(M=strongly_stable_modules())
     @settings(deadline=None, max_examples=60)
-    def test_strongly_stable_modules(self, data):
-        # S/J and (J + K)/J for a strongly stable J: of Borel type, as every
-        # associated prime of a submodule of S/J is one of S/J; often with
-        # several chain steps, and now and then with an owner found by
-        # stripping or a step that is not Cohen-Macaulay
-        nvars = data.draw(st.integers(3, 5))
-        degree = 8 - nvars
-
-        def monomials(min_size, max_size):
-            variables = st.lists(st.integers(0, nvars - 1), min_size=1, max_size=degree)
-            drawn = data.draw(st.lists(variables, min_size=min_size, max_size=max_size))
-            return [Monomial(tuple(v.count(i) for i in range(nvars))) for v in drawn]
-
-        J = exchange_closure_ideal(nvars, monomials(1, 3))
-        if data.draw(st.booleans()):
-            M = Subquotient.cyclic(J)
-        else:
-            M = Subquotient(J.add(MonomialIdeal(nvars, tuple(monomials(1, 2)))), J)
+    def test_strongly_stable_modules(self, M):
         assume(not M.is_zero())
         self.matches_box_scan(M)
 
@@ -491,9 +497,10 @@ class TestStanleyWitnesses:
         assert few == many
 
     def test_minimalizations_do_not_grow_with_length(self, monkeypatch):
-        # each witness is placed by MonomialIdeal.add_monomial, one pass over
-        # the current generators, not by rebuilding and minimalizing the
-        # whole ideal through the constructor
+        # a witness w divides only the generators of current among the w x_i,
+        # i <= r, so each is placed by dropping those words from the live set
+        # and adding its own, not by rebuilding and minimalizing the whole
+        # ideal through the constructor
         def build(a):
             M = cyclic(3, f"x1^{a}", f"x2^{a}", f"x3^{a}")
             return _builder_calls(monkeypatch, M, monomial_module, "_minimal_exps")
@@ -501,6 +508,54 @@ class TestStanleyWitnesses:
         (short, few), (long, many) = build(4), build(6)
         assert (short, long) == (64, 216)
         assert few == many
+
+    @staticmethod
+    def packed_walk(step):
+        """The builder's witnesses of a chain step, unpacked."""
+        quotient = step.quotient
+        ideals = (quotient.numerator, quotient.denominator, step.reduced.denominator)
+        words = _ExponentWords(quotient.nvars, filtration_module._largest_exponent(ideals))
+        return words.unpack(filtration_module._stanley_witnesses(step, words))
+
+    @staticmethod
+    def owner_runs(step):
+        """Whether the walk of the step looks up an owner: some w x_i, w in W
+        and i <= r, lies in the reduction's denominator but not in C0, r < n."""
+        r, n = step.variable_index, step.quotient.nvars
+        lowered, start = step.reduced.denominator.exps, step.quotient.denominator.exps
+        return r < n and any(
+            raw_member(up, lowered) and not raw_member(up, start)
+            for w in raw_stanley_witnesses(step)
+            for up in (w[:i] + (w[i] + 1,) + w[i + 1 :] for i in range(r))
+        )
+
+    @given(M=strongly_stable_modules())
+    @settings(deadline=None, max_examples=80)
+    def test_packed_walk_is_the_tuple_walk(self, M):
+        # on every step of a certified chain, subquotient steps with r < n
+        # included, the walk on words yields the tuple walk's witnesses in
+        # the tuple walk's order
+        assume(not M.is_zero())
+        chain = build_chain(M)
+        assume(sequential_cm_report(chain)["ok"])
+        for step in chain.steps:
+            assert list(self.packed_walk(step)) == raw_stanley_witnesses(step)
+
+    @pytest.mark.parametrize(
+        "nvars, numerator, denominator",
+        [
+            # the modules of test_owner_found_by_stripping_trailing_variables
+            (2, ("x2^2", "x1*x2"), ("x1^3*x2",)),
+            (5, ("x3*x5", "x2", "x1"), ("x2^2", "x1")),
+            (3, ("x2^2", "x1*x2"), ("x1^130*x2",)),
+        ],
+    )
+    def test_packed_walk_looks_up_owners(self, nvars, numerator, denominator):
+        chain = build_chain(Subquotient(I(nvars, *numerator), I(nvars, *denominator)))
+        require_sequentially_cm(chain, "filtration")
+        assert any(map(self.owner_runs, chain.steps))
+        for step in chain.steps:
+            assert list(self.packed_walk(step)) == raw_stanley_witnesses(step)
 
     def test_steps_match_the_validating_constructor(self):
         # every step ideal is previous + (witness) as the constructor builds
@@ -543,6 +598,65 @@ class TestStanleyWitnesses:
         )
         with pytest.raises(InternalInconsistencyError, match="is not Artinian"):
             pretty_clean_filtration(M)
+
+
+class TestFieldWidths:
+    """The builder and the verifier size their packed words from their own
+    inputs; exponents at and around a power of two, and at the exponent
+    limit, must neither spill into the next field nor into its guard bit."""
+
+    @staticmethod
+    def checked(M, ceiling=None):
+        f = pretty_clean_filtration(M)
+        report = verify_filtration(f)
+        assert report["steps_ok"] and report["pretty_clean"], report["violations"]
+        chain = build_chain(M)
+        assert [s.witness.exps for s in f.steps] == [
+            w for step in chain.steps for w in raw_stanley_witnesses(step)
+        ]
+        previous = M.denominator
+        for k, step in enumerate(f.steps, 1):
+            assert raw_step_violations(previous, step, k) == []
+            previous = step.ideal
+        assert filtration_length_report(f, chain, ceiling)["ok"]
+        return f
+
+    @pytest.mark.parametrize("largest", [6, 7, 8, 126, 127, 128])
+    def test_largest_exponent_around_a_power_of_two(self, largest):
+        # 2^k - 2, 2^k - 1 and 2^k for k = 3 and k = 7, as an exponent of an
+        # Artinian module, of C0 in a step with a trailing variable, and of
+        # a subquotient step whose walk looks up owners
+        modules = (
+            cyclic(3, f"x1^{largest}", "x2^2", "x3"),
+            Subquotient(I(3, "x3", "x2", "x1"), I(3, f"x2^{largest}", "x1")),
+            Subquotient(I(3, "x2^2", "x1*x2"), I(3, f"x1^{largest}*x2")),
+        )
+        lengths = [len(self.checked(M, largest + 4)) for M in modules]
+        assert lengths == [2 * largest, largest, largest]
+
+    def test_one_step_at_the_exponent_limit(self):
+        K = monomial_module.EXPONENT_LIMIT - 1
+        M = Subquotient(I(2, f"x1^{K}", "x2"), I(2, f"x1^{K + 1}", "x2"))
+        f = self.checked(M)
+        assert [(s.witness.exps, s.prime) for s in f.steps] == [((K, 0), P(2, 1, 2))]
+
+    @pytest.mark.parametrize("exponent", [9, 64, monomial_module.EXPONENT_LIMIT])
+    def test_corrupted_step_with_a_larger_exponent(self, exponent):
+        # the middle step's ideal has an exponent above every exponent of the
+        # module and of the witnesses; the verifier widens its words for it,
+        # and the later steps are judged against it
+        M = cyclic(2, "x1^3", "x1*x2", "x2^3")
+        steps = list(pretty_clean_filtration(M).steps)
+        middle = len(steps) // 2
+        bad = I(2, "x1", f"x2^{exponent}")
+        steps[middle] = FiltrationStep(bad, steps[middle].witness, steps[middle].prime)
+        expected, previous = [], M.denominator
+        for k, step in enumerate(steps, 1):
+            expected += raw_step_violations(previous, step, k)
+            previous = step.ideal
+        report = verify_filtration(PrimeFiltration(M, tuple(steps)))
+        assert report["violations"] == expected
+        assert f"step {middle + 1}: ideal is not the previous one plus witness" in expected
 
 
 def _shuffled_witness_filtration(module, rng) -> PrimeFiltration:
