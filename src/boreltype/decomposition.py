@@ -2,13 +2,12 @@
 primes of monomial subquotients, Krull dimension, and the dimension
 filtration.
 
-Irreducible components are built one minimal generator m at a time from the
-zero ideal.  A component C containing m stays; any other splits as
-C + (m) = meet over i in supp m of C + (x_i^{m_i}).  Irreducible monomial
-ideals are meet-prime, so a new component is redundant exactly when it
-contains another one, and the unique irredundant result does not depend on
-the generator order (Miller-Sturmfels, Combinatorial Commutative Algebra,
-ch. 5).
+Irreducible components are read off the Alexander dual (Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 5), one fold of the kernel's meet
+``MonomialIdeal.intersect``: nothing is split, compared or pruned here.
+Associated primes and ``dimension_filtration`` read those components, so
+they share only that meet with the saturation route of the Borel verdict
+and the chain, never a computed ideal.
 
 The components, their radicals and the associated primes computed here are
 sorted as plain tuples and wrapped by ``_trusted``, without the validation of
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import ZeroModuleError
-from .monomial import MonomialIdeal, _ideal_from_exps
+from .monomial import MonomialIdeal, _ideal_from_exps, _trusted_ideal
 from .subquotient import Subquotient
 
 # Entries kept by each of the decomposition memos (irreducible_decomposition,
@@ -126,32 +125,22 @@ def _require_proper_nonzero(ideal: MonomialIdeal, what: str) -> None:
 
 @lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """The irredundant irreducible decomposition, splitting on the generators
-    by degree; a component is its bound vector, 0 marking an unbounded
-    variable.  m outside C puts each m_i below C's bound on x_i, and a kept
-    component never contains a new one: it would then contain its parent.
+    """The irredundant irreducible decomposition.  With U one past the
+    largest generator exponent, the Alexander dual is the meet over the
+    minimal generators m of (x_i^(U - m_i) : m_i > 0), and each minimal
+    generator d of the dual gives the component (x_i^(U - d_i) : d_i > 0).
     """
     _require_proper_nonzero(ideal, "irreducible decomposition")
     n = ideal.nvars
-    components = [(0,) * n]
-    for m in sorted(ideal.exps, key=sum):
-        kept, split = [], set()
-        for b in components:
-            if any(0 < c <= e for c, e in zip(b, m)):
-                kept.append(b)
-            else:
-                split.update(b[:i] + (e,) + b[i + 1 :] for i, e in enumerate(m) if e)
-        pool = kept + list(split)
-        components = kept + [
-            b for b in split if not any(c != b and _contains(b, c) for c in pool)
-        ]
-    bounds = sorted(tuple((i, c) for i, c in enumerate(b, 1) if c) for b in components)
+    top = max(map(max, ideal.exps)) + 1
+    duals = []
+    for m in ideal.exps:
+        powers = [(0,) * i + (top - e,) + (0,) * (n - 1 - i) for i, e in enumerate(m) if e]
+        # distinct pure powers, in ascending lexicographic order: x_n's first
+        duals.append(_trusted_ideal(n, tuple(powers[::-1])))
+    dual = reduce(MonomialIdeal.intersect, duals)
+    bounds = sorted(tuple((i, top - e) for i, e in enumerate(d, 1) if e) for d in dual.exps)
     return tuple(_trusted(IrreducibleComponent, n, b) for b in bounds)
-
-
-def _contains(b, c) -> bool:
-    """Whether the component with bound vector b contains the one with c."""
-    return all(0 < p <= q for p, q in zip(b, c) if q)
 
 
 @lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)

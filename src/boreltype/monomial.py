@@ -22,15 +22,15 @@ internal operations (products, quotients, lcms, saturations, box walks) are
 built from exponent tuples that are valid by construction and skip that
 validation; only the variable counts of the operands are still compared, so
 that no operation truncates silently.  The ideal results of ``add``,
-``multiply``, ``intersect``, ``colon_monomial`` and ``saturate`` are built by
+``multiply``, ``colon_monomial`` and ``saturate`` are built by
 ``_ideal_from_exps``, which shares the constructor's minimalization and skips
-its checks.  ``intersect`` first sorts
-each operand's generators by membership in the other: those that lie in it
-are kept as they are and lcms are formed only between the rest, so an operand
-whose generators all lie in the other is returned itself, with no new ideal
-built.  ``_ideal_from_exps`` builds its results through ``_trusted_ideal``,
-which the filtration builder also calls with generators it already knows to
-be minimal.
+its checks.  ``intersect`` first sorts each operand's generators by
+membership in the other: those that lie in it are kept as they are and only
+the lcms of the rest are minimalized, so an operand whose generators all lie
+in the other is returned itself, with no new ideal built.
+``_ideal_from_exps`` builds its results through ``_trusted_ideal``, which
+``intersect``, the irreducible decomposition and the filtration builder also
+call with generators they already know to be minimal.
 
 ``_ExponentWords`` packs the exponent tuples of one pass into one int each,
 for the filtration builder's and verifier's loops, which test divisibility
@@ -349,7 +349,15 @@ class MonomialIdeal:
         generator that lies in the other operand is a multiple of it.  An
         operand whose every generator lies in the other (the partner of the
         unit ideal, the first of two equal ideals, the zero ideal) is
-        returned as it is."""
+        returned as it is.
+
+        Only the lcms are minimalized, and those that an inside generator
+        (one lying in the other operand) divides are dropped.  The inside
+        generators form an antichain up to equal tuples: an inside a that
+        divides an inside b of the other operand has a divisor in b's
+        operand, which divides b and so is b.  No lcm of outside a and b
+        divides an inside c: the one of a, b from c's operand would divide c.
+        """
         self._check(other)
         a_out, a_in = _split_by_membership(self.exps, other.exps)
         if not a_out:
@@ -357,10 +365,10 @@ class MonomialIdeal:
         b_out, b_in = _split_by_membership(other.exps, self.exps)
         if not b_out:
             return other
-        return _ideal_from_exps(
-            self.nvars,
-            {*a_in, *b_in, *(tuple(map(max, a, b)) for a in a_out for b in b_out)},
-        )
+        inside = {*a_in, *b_in}
+        lcms = _minimal_exps({tuple(map(max, a, b)) for a in a_out for b in b_out})
+        kept, _ = _split_by_membership(lcms, inside)
+        return _trusted_ideal(self.nvars, tuple(sorted(inside.union(kept))))
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)

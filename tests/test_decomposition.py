@@ -65,12 +65,29 @@ class TestIrreducibleDecomposition:
     def test_golden_high_pure_powers_are_one_component(self):
         J = I(3, "x1^64", "x2^64", "x3^64")
         assert [c.to_ideal() for c in irreducible_decomposition(J)] == [J]
+        # pure powers far above the small generators: every other exponent
+        # is encoded in the Alexander dual as 65 minus itself
+        mixed = I(3, "x1^64", "x2^64", "x1^2*x3", "x2*x3^2", "x3^3")
+        comps = irreducible_decomposition(mixed)
+        assert {c.bounds for c in comps} == raw_irreducible_components(
+            gens_of(mixed), 3
+        )
+        assert [str(c) for c in comps] == [
+            "(x3^3, x2, x1^2)",
+            "(x3^2, x2^64, x1^2)",
+            "(x3, x2^64, x1^64)",
+        ]
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=120)
     def test_matches_corner_scan(self, data):
-        nvars = data.draw(st.integers(1, 5))
-        gens = data.draw(raw_ideals(nvars))
+        # the dual is taken with respect to the largest exponent, so wide
+        # exponents in one variable shift the encoding of all the others;
+        # the scan walks the box of the largest exponents, kept to a few
+        # thousand points
+        nvars = data.draw(st.integers(1, 6))
+        widest = max(e for e in range(1, 9) if (e + 1) ** nvars <= 5000)
+        gens = data.draw(raw_ideals(nvars, max_exp=data.draw(st.integers(1, widest))))
         comps = irreducible_decomposition(_ideal(nvars, gens))
         assert {c.bounds for c in comps} == raw_irreducible_components(gens, nvars)
 

@@ -375,34 +375,41 @@ class TestTrustedKernel:
         )
 
     @given(
-        gens=raw_ideals(3),
-        extra=raw_ideals(3, max_gens=2),
-        shift=exponent_tuples(3, 2),
-        relation=st.sampled_from(("drawn", "nested", "equal", "disjoint", "zero", "unit")),
+        data=st.data(),
+        relation=st.sampled_from(
+            ("drawn", "shared", "nested", "equal", "disjoint", "zero", "unit")
+        ),
     )
     @settings(deadline=None, max_examples=300)
-    def test_intersect_is_the_raw_meet(self, gens, extra, shift, relation):
+    def test_intersect_is_the_raw_meet(self, data, relation):
         # intersect keeps the generators that lie in the other operand and
-        # forms lcms only between the rest; in both orders the result must be
-        # the minimalized lcms of all pairs
-        if relation == "nested":
+        # minimalizes only the lcms of the rest; in both orders the result
+        # must be the minimalized lcms of all pairs.  "shared" puts a
+        # generator in both operands, so it lies inside on both sides
+        n = data.draw(st.integers(2, 5))
+        gens = data.draw(raw_ideals(n))
+        extra = data.draw(raw_ideals(n, max_gens=2))
+        shift = data.draw(exponent_tuples(n, 2))
+        if relation == "shared":
+            other = gens[:1] + extra
+        elif relation == "nested":
             other = [raw_mul(g, shift) for g in gens]
             other += [raw_mul(g, e) for g in gens for e in extra]
         elif relation == "equal":
             other = [raw_mul(g, shift) for g in gens] + gens[::-1]
         elif relation == "disjoint":
-            gens = [(a + 1, b, 0) for a, b, _ in gens]
-            other = [(0, 0, c + 1) for *_, c in extra]
+            gens = [(g[0] + 1, *g[1:-1], 0) for g in gens]
+            other = [(0,) * (n - 1) + (e[-1] + 1,) for e in extra]
         else:
-            other = {"drawn": extra, "zero": [], "unit": [(0, 0, 0)]}[relation]
-        ideal, partner = ideal_of(3, gens), ideal_of(3, other)
+            other = {"drawn": extra, "zero": [], "unit": [(0,) * n]}[relation]
+        ideal, partner = ideal_of(n, gens), ideal_of(n, other)
         for a, b, gens_a, gens_b in (
             (ideal, partner, gens, other),
             (partner, ideal, other, gens),
         ):
             meet = a.intersect(b)
             assert gens_of(meet) == raw_meet(gens_a, gens_b)
-            rebuilt = MonomialIdeal(3, meet.gens)
+            rebuilt = MonomialIdeal(n, meet.gens)
             assert meet == rebuilt and hash(meet) == hash(rebuilt)
 
     @given(gens=raw_ideals(3), extra=raw_ideals(3, max_gens=2), shift=exponent_tuples(3, 2))
