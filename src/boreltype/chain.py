@@ -11,6 +11,12 @@ n - r and its prime (x1..xr), so every reader takes all four from the step.
 Each torsion submodule is named by its variable set: the x_i-torsion of a
 module is module.torsion_submodule((i,)).
 
+A step's certificate, x_{r+1}, ..., x_n regular on its quotient, reads the
+variables as x_n, ..., x_{r+1}, as a homogeneous regular sequence permutes:
+x_j must have zero torsion on the quotient's partial reduction by
+x_{j+1}..x_n.  The step's own reduction is the term after the last, so the
+step and its certificate read one routine, Subquotient.artinian_reduction.
+
 Every reader of the chain's numbers refuses in one order: prepare refuses the
 zero module, a non-Borel module, a failed construction and a reduced top
 degree past the ceiling (the filtration builder, which takes no ceiling, uses
@@ -31,7 +37,7 @@ from .errors import (
     NotSequentiallyCMError,
     ZeroModuleError,
 )
-from .monomial import Monomial, MonomialIdeal
+from .monomial import MonomialIdeal
 from .subquotient import Subquotient
 
 # Entries kept by each of the three chain memos (build_chain,
@@ -167,17 +173,19 @@ def reduced_hilbert(
 def _trailing_sequence_regular(step: ChainStep) -> bool:
     """Whether x_{r+1}, ..., x_n is a regular sequence on the step quotient L/D.
 
-    Checks each variable in turn for being a nonzerodivisor on the quotient by
-    the previously consumed ones: x is a nonzerodivisor on L/D exactly when
-    (D : x) meet L sits inside D.
+    A homogeneous regular sequence on a graded module stays regular in any
+    order (Bruns-Herzog, Cohen-Macaulay Rings, ch. 1), so the variables are
+    taken as x_n, ..., x_{r+1}, the order of Trung's filter-regular
+    sequences.  Then the module x_j acts on is the step's partial Artinian
+    reduction L/(D + (x_{j+1}..x_n)L), and x_j is a nonzerodivisor on it
+    exactly when its x_j-torsion is zero.  The step's own reduction by
+    x_{r+1}..x_n is the term after the last one.
     """
-    n = step.quotient.nvars
-    top, denominator = step.quotient.numerator, step.quotient.denominator
-    for j in range(step.variable_index + 1, n + 1):
-        x = Monomial.variable(j, n)
-        if not denominator.contains(denominator.colon_monomial(x).intersect(top)):
+    quotient = step.quotient
+    for j in range(quotient.nvars, step.variable_index, -1):
+        reduced = quotient.artinian_reduction(j)
+        if reduced.torsion_submodule((j,)) != reduced.denominator:
             return False
-        denominator = denominator.add(top.multiply(MonomialIdeal.variables(n, (j,))))
     return True
 
 

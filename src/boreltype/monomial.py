@@ -54,7 +54,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
 from operator import add, le, lt, mul, sub
 
 from .errors import DimensionMismatchError, GuardExceededError, ParseError
@@ -124,10 +123,6 @@ class Monomial:
         if len(a) != len(b):
             self._check(other)
         return all(map(le, a, b))
-
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of the variables dividing this monomial."""
-        return _support(self.exps)
 
     def __str__(self) -> str:
         if self.is_unit():
@@ -506,11 +501,6 @@ def _split_by_membership(gens, other) -> tuple[list, list]:
     return outside, inside
 
 
-def _support(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """1-based indices of the variables with a positive exponent."""
-    return tuple(compress(count(1), exps))
-
-
 @lru_cache(maxsize=SATURATION_MEMO_SIZE)
 def _saturate_monomial(ideal: MonomialIdeal, support: tuple[int, ...]) -> MonomialIdeal:
     """(ideal : u^infinity) for any monomial u with this support: each minimal
@@ -534,7 +524,6 @@ def _saturate_monomial(ideal: MonomialIdeal, support: tuple[int, ...]) -> Monomi
     return _ideal_from_exps(ideal.nvars, zeroed)
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All monomials of the given total degree, lexicographically decreasing."""
     if nvars < 1:

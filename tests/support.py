@@ -2,16 +2,19 @@
 
 Everything in the raw_* family works on plain exponent tuples and never calls
 into the package, so it can serve as an independent oracle for membership,
-colon, intersection, and saturation results.  The four exceptions are the
+colon, intersection, and saturation results.  The five exceptions are the
 ideal-building loops the package's cheaper routes must agree with:
 raw_saturate, which saturates by iterating the package's colon and
 intersection, never its saturation kernel; raw_borel_verdict, which takes
 the single-variable torsion submodules from the package and saturates every
 initial segment afresh with raw_saturate; raw_torsion_identity_report,
 which calls the package's torsion submodule at the support of every monomial
-it tests; and raw_step_violations, which builds each filtration step's
-extension and colon ideals.  raw_stanley_witnesses reads the ideals of a
-chain step the package built and walks their exponent tuples itself.
+it tests; raw_trailing_sequence_regular, which certifies a chain step with
+the package's colons in the order x_{r+1}, ..., x_n, never its torsion
+submodules or reductions; and raw_step_violations, which builds each
+filtration step's extension and colon ideals.  raw_stanley_witnesses reads
+the ideals of a chain step the package built and walks their exponent
+tuples itself.
 hilbert_function counts one degree of a module with the package's membership
 test; it is the independent check of Subquotient.artinian_hilbert.
 """
@@ -25,8 +28,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from boreltype import Monomial, MonomialIdeal, Subquotient, monomials_of_degree
-from boreltype.borel import TORSION_SAMPLE_DEGREE, BorelVerdict
+from boreltype import Monomial, MonomialIdeal, Subquotient, exchange_closure_ideal
+from boreltype.borel import BorelVerdict
 from boreltype.decomposition import associated_primes, prime_sort_key
 
 
@@ -185,7 +188,7 @@ def hilbert_function(module: Subquotient, degree: int) -> int:
         return 0
     return sum(
         1
-        for m in monomials_of_degree(module.nvars, degree)
+        for m in map(Monomial, tuples_of_degree(module.nvars, degree))
         if module.numerator.member(m) and not module.denominator.member(m)
     )
 
@@ -377,7 +380,9 @@ def raw_borel_verdict(module: Subquotient) -> BorelVerdict:
 
 def raw_torsion_identity_report(module: Subquotient) -> dict:
     """The torsion identity report with one torsion submodule computed per
-    monomial tested, in the order the package's report tests them."""
+    monomial tested: every consecutive product, then every sample monomial
+    of degree at most 2, lexicographically decreasing, where the package's
+    report tests only the supports {i < j} in their order."""
     n = module.nvars
 
     def torsion(exps):
@@ -399,14 +404,34 @@ def raw_torsion_identity_report(module: Subquotient) -> dict:
                 report["consecutive_products"] = False
                 report["counterexample"] = {"kind": "product", "j": j, "p": p}
                 return report
-    for d in range(1, TORSION_SAMPLE_DEGREE + 1):
-        for u in monomials_of_degree(n, d):
-            least = next(i for i, e in enumerate(u.exps, 1) if e)
-            if torsion(u.exps) != torsion(variable(least)):
+    sample_degree = 2
+    for d in range(1, sample_degree + 1):
+        # lexicographically decreasing: x1^2, x1*x2, x1*x3, ..., x2^2, ...
+        for u in sorted(tuples_of_degree(n, d), reverse=True):
+            least = next(i for i, e in enumerate(u, 1) if e)
+            if torsion(u) != torsion(variable(least)):
+                text = "*".join(
+                    f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(u, 1) if e
+                )
                 report["support_reduction"] = False
-                report["counterexample"] = {"kind": "monomial", "u": str(u)}
+                report["counterexample"] = {"kind": "monomial", "u": text}
                 return report
     return report
+
+
+def raw_trailing_sequence_regular(step) -> bool:
+    """Whether x_{r+1}, ..., x_n is a regular sequence on the chain step's
+    quotient L/D, taken in that order: x_j must be a nonzerodivisor on L/D_j,
+    D_j = D + (x_{r+1}..x_{j-1})L, that is (D_j : x_j) meet L must lie in
+    D_j."""
+    n = step.quotient.nvars
+    top, denominator = step.quotient.numerator, step.quotient.denominator
+    for j in range(step.variable_index + 1, n + 1):
+        x = Monomial(tuple(int(i == j) for i in range(1, n + 1)))
+        if not denominator.contains(denominator.colon_monomial(x).intersect(top)):
+            return False
+        denominator = denominator.add(top.multiply(MonomialIdeal(n, (x,))))
+    return True
 
 
 def raw_stanley_witnesses(step) -> list[tuple[int, ...]]:
@@ -528,3 +553,16 @@ def modules(draw, min_vars: int = 2, max_vars: int = 4, max_exp: int = 3):
     extras = draw(st.lists(nonunit_tuples(nvars, max_exp), min_size=1, max_size=2))
     numerator = denominator.add(ideal_of(nvars, extras))
     return Subquotient(numerator, denominator)
+
+
+@st.composite
+def x1_recipe_modules(draw, min_vars: int = 3, max_vars: int = 5, max_exp: int = 3):
+    """I/J with J = x1 * (exchange closure of one or two monomials) and I = J plus
+    one or two monomials: of Borel type whenever nonzero, as Ass(I/J) lies in
+    Ass(S/J), and often not sequentially Cohen-Macaulay."""
+    nvars = draw(st.integers(min_vars, max_vars))
+    seeds = draw(st.lists(nonunit_tuples(nvars, max_exp), min_size=1, max_size=2))
+    x1 = MonomialIdeal(nvars, (Monomial((1,) + (0,) * (nvars - 1)),))
+    denominator = x1.multiply(exchange_closure_ideal(nvars, map(Monomial, seeds)))
+    extras = draw(st.lists(nonunit_tuples(nvars, max_exp), min_size=1, max_size=2))
+    return Subquotient(denominator.add(ideal_of(nvars, extras)), denominator)

@@ -394,10 +394,21 @@ class TestTorsionIdentities:
         assert len(supports) == 42
 
     @pytest.mark.parametrize(
-        "corrupted", [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]
+        "corrupted, counterexample",
+        [
+            ((1,), {"kind": "product", "j": 1, "p": 1}),
+            ((2,), {"kind": "product", "j": 2, "p": 1}),
+            ((3,), None),
+            ((1, 2), {"kind": "product", "j": 1, "p": 1}),
+            ((2, 3), {"kind": "product", "j": 2, "p": 1}),
+            # the one support no consecutive product reaches: only the
+            # sample pairs test it
+            ((1, 3), {"kind": "monomial", "u": "x1*x3"}),
+            ((1, 2, 3), {"kind": "product", "j": 1, "p": 2}),
+        ],
     )
     def test_corrupted_support_gives_the_reference_counterexample(
-        self, monkeypatch, corrupted
+        self, monkeypatch, corrupted, counterexample
     ):
         M = Subquotient.cyclic(I(3, "x1^2", "x1*x2", "x2^3", "x1*x3"))
         borel_verdict(M)  # cached before the corruption
@@ -412,4 +423,4 @@ class TestTorsionIdentities:
         report = torsion_identity_report(M)
         assert report == raw_torsion_identity_report(M)
         # torsion at x3 alone is only ever compared with itself
-        assert (report["counterexample"] is None) == (corrupted == (3,))
+        assert report["counterexample"] == counterexample

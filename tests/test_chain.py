@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boreltype import (
     MonomialIdeal,
@@ -22,7 +23,12 @@ from boreltype import chain as chain_module
 from boreltype.chain import reduced_hilbert
 from boreltype.errors import NotBorelTypeError, ZeroModuleError
 
-from .support import monomial_ideals
+from .support import (
+    modules,
+    monomial_ideals,
+    raw_trailing_sequence_regular,
+    x1_recipe_modules,
+)
 
 
 def I(nvars, *gens):
@@ -102,22 +108,27 @@ class TestQuotients:
     def test_check_reduces_each_step_once(self, monkeypatch):
         # regularity, the SCM report and the filtration builder read the
         # steps of the memoized build_chain, the one place that reduces a
-        # step quotient
+        # step quotient by x_{r+1}..x_n; the certificate of the memoized
+        # sequential_cm_report reduces it only partially, by x_{j+1}..x_n
+        # for j > r
         M = cyclic(3, "x1^2", "x1*x2", "x1*x3^2")
         reductions = []
         original = Subquotient.artinian_reduction
 
         def counted(self, r):
-            reductions.append(r)
+            reductions.append((self, r))
             return original(self, r)
 
         monkeypatch.setattr(Subquotient, "artinian_reduction", counted)
         build_chain.cache_clear()
+        sequential_cm_report.cache_clear()
         report, code = run_check(M)
         assert code == 0
         chain = build_chain(M)
         assert len(chain) > 1
-        assert reductions == chain.indices()
+        for step in chain.steps:
+            assert reductions.count((step.quotient, step.variable_index)) == 1
+        assert [r for _, r in reductions] == [3, 1, 3, 2]
 
     def test_check_computes_each_certificate_once(self, monkeypatch):
         # the check report, regularity and the filtration builder all read
@@ -189,6 +200,37 @@ class TestCmReport:
     def test_golden_artinian(self):
         report = sequential_cm_report(build_chain(cyclic(2, "x1", "x2")))
         assert report["quotient_dims"] == [0]
+
+    def test_golden_failure_past_the_last_variable(self):
+        # (x1, x2, x3)/(x1) is the maximal ideal of K[x2, x3]: x3 is a
+        # nonzerodivisor on it, and x2 kills the class of x3 modulo x3 times it
+        M = Subquotient(I(3, "x1", "x2", "x3"), I(3, "x1"))
+        (step,) = build_chain(M).steps
+        assert step.variable_index == 1
+        assert step.quotient.torsion_submodule((3,)) == step.quotient.denominator
+        reduced = step.quotient.artinian_reduction(2)
+        assert reduced.torsion_submodule((2,)) != reduced.denominator
+        assert sequential_cm_report(build_chain(M))["regular_sequences"] == [False]
+        assert raw_trailing_sequence_regular(step) is False
+
+    @pytest.mark.parametrize(
+        "draws",
+        [modules(min_vars=3, max_vars=4), x1_recipe_modules()],
+        ids=["modules", "x1_recipe"],
+    )
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_certificates_match_the_forward_colon_order(self, draws, data):
+        # the certificate reads x_n, ..., x_{r+1} on partial reductions; the
+        # reference takes colons in the order x_{r+1}, ..., x_n.  About one
+        # nonzero x1-recipe draw in ten has a failing step
+        M = data.draw(draws)
+        if M.is_zero() or not borel_verdict(M).is_borel:
+            return
+        chain = build_chain(M)
+        assert sequential_cm_report(chain)["regular_sequences"] == [
+            raw_trailing_sequence_regular(step) for step in chain.steps
+        ]
 
 
 class TestCorpusInvariants:
