@@ -3,11 +3,13 @@ primes of monomial subquotients, Krull dimension, and the dimension
 filtration.
 
 Irreducible components are read off the Alexander dual (Miller-Sturmfels,
-Combinatorial Commutative Algebra, ch. 5), one fold of the kernel's meet
-``MonomialIdeal.intersect``: nothing is split, compared or pruned here.
-Associated primes and ``dimension_filtration`` read those components, so
-they share only that meet with the saturation route of the Borel verdict
-and the chain, never a computed ideal.
+Combinatorial Commutative Algebra, ch. 5), one fold of ``_meet_irreducible``,
+the meet of an ideal with an irreducible ideal of pure powers, on exponent
+tuples.  Primary components and ``dimension_filtration`` fold the same meet
+over the components they keep.  None of them calls the kernel's general
+``MonomialIdeal.intersect``: associated primes and ``dimension_filtration``
+share only the minimalization ``_minimal_exps`` with the saturation route of
+the Borel verdict and the chain, never a computed ideal.
 
 The components, their radicals and the associated primes computed here are
 sorted as plain tuples and wrapped by ``_trusted``, without the validation of
@@ -18,10 +20,11 @@ boundary for values from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
+from operator import le
 
 from .errors import ZeroModuleError
-from .monomial import MonomialIdeal, _ideal_from_exps, _trusted_ideal
+from .monomial import MonomialIdeal, _ideal_from_exps, _minimal_exps, _trusted_ideal
 from .subquotient import Subquotient
 
 # Entries kept by each of the decomposition memos (irreducible_decomposition,
@@ -123,23 +126,54 @@ def _require_proper_nonzero(ideal: MonomialIdeal, what: str) -> None:
         raise ValueError(f"{what} is undefined for the unit ideal")
 
 
+def _meet_irreducible(nvars: int, gens, bounds) -> tuple[tuple[int, ...], ...]:
+    """The ascending minimal generators of (gens) meet (x_i^c : (i, c) in
+    bounds), for an ascending antichain gens of exponent tuples, ``None``
+    standing for the unit ideal, and bounds on distinct 1-based variables
+    with positive exponents.
+
+    A generator a with some a_i >= c lies in the irreducible ideal and is
+    kept as it is; every other one is replaced by its raises, a with
+    a_i := c for each bound, its lcms with the pure powers.  Only the raises
+    are minimalized, and those that a kept generator divides are dropped.
+    The kept generators are an antichain, and no raise of a divides a kept
+    b, since a would then divide b.
+    """
+    if gens is None:
+        gens = ((0,) * nvars,)
+    cuts = [(i - 1, c) for i, c in bounds]
+    kept, raises = [], set()
+    for a in gens:
+        for i, c in cuts:
+            if a[i] >= c:
+                kept.append(a)
+                break
+        else:
+            raises.update(a[:i] + (c,) + a[i + 1 :] for i, c in cuts)
+    if not raises:
+        return gens
+    fresh = [
+        r
+        for r in _minimal_exps(raises)
+        if not any(all(map(le, b, r)) for b in kept)
+    ]
+    return tuple(sorted(kept + fresh))
+
+
 @lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The irredundant irreducible decomposition.  With U one past the
     largest generator exponent, the Alexander dual is the meet over the
-    minimal generators m of (x_i^(U - m_i) : m_i > 0), and each minimal
-    generator d of the dual gives the component (x_i^(U - d_i) : d_i > 0).
+    minimal generators m of (x_i^(U - m_i) : m_i > 0), one fold of
+    ``_meet_irreducible``, and each minimal generator d of the dual gives
+    the component (x_i^(U - d_i) : d_i > 0).
     """
     _require_proper_nonzero(ideal, "irreducible decomposition")
     n = ideal.nvars
     top = max(map(max, ideal.exps)) + 1
-    duals = []
-    for m in ideal.exps:
-        powers = [(0,) * i + (top - e,) + (0,) * (n - 1 - i) for i, e in enumerate(m) if e]
-        # distinct pure powers, in ascending lexicographic order: x_n's first
-        duals.append(_trusted_ideal(n, tuple(powers[::-1])))
-    dual = reduce(MonomialIdeal.intersect, duals)
-    bounds = sorted(tuple((i, top - e) for i, e in enumerate(d, 1) if e) for d in dual.exps)
+    duals = ([(i, top - e) for i, e in enumerate(m, 1) if e] for m in ideal.exps)
+    dual = reduce(partial(_meet_irreducible, n), duals, None)
+    bounds = sorted(tuple((i, top - e) for i, e in enumerate(d, 1) if e) for d in dual)
     return tuple(_trusted(IrreducibleComponent, n, b) for b in bounds)
 
 
@@ -147,15 +181,16 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
 def primary_components(
     ideal: MonomialIdeal,
 ) -> tuple[tuple[MonomialPrime, MonomialIdeal], ...]:
-    """Primary decomposition obtained by intersecting same-radical
-    irreducible components."""
-    groups: dict[MonomialPrime, list[MonomialIdeal]] = {}
+    """Primary decomposition: the meet of each radical's irreducible
+    components, one fold of ``_meet_irreducible``."""
+    groups: dict[MonomialPrime, list] = {}
     for comp in irreducible_decomposition(ideal):
-        groups.setdefault(comp.radical(), []).append(comp.to_ideal())
-    out = []
-    for prime in sorted(groups):
-        out.append((prime, reduce(MonomialIdeal.intersect, groups[prime])))
-    return tuple(out)
+        groups.setdefault(comp.radical(), []).append(comp.bounds)
+    meet = partial(_meet_irreducible, ideal.nvars)
+    return tuple(
+        (prime, _trusted_ideal(ideal.nvars, reduce(meet, groups[prime], None)))
+        for prime in sorted(groups)
+    )
 
 
 def prime_sort_key(p: MonomialPrime):
@@ -215,18 +250,19 @@ def dimension_filtration(ideal: MonomialIdeal, dim_bound: int) -> MonomialIdeal:
     """The ideal L with L/ideal = the largest submodule of S/ideal whose
     dimension is at most ``dim_bound``.
 
-    Computed as the intersection of the primary components whose prime has
-    quotient dimension strictly above the bound; an empty intersection is the
-    unit ideal, i.e. the whole module.
+    Computed as the meet of the primary components whose prime has quotient
+    dimension strictly above the bound, folded as the meet of their
+    irreducible components; an empty meet is the unit ideal, i.e. the whole
+    module.
     """
     _require_proper_nonzero(ideal, "dimension filtration")
-    if not 0 <= dim_bound <= ideal.nvars:
-        raise ValueError(f"dimension bound {dim_bound} outside 0..{ideal.nvars}")
-    keep = [
-        comp
-        for prime, comp in primary_components(ideal)
-        if prime.quotient_dim() > dim_bound
-    ]
-    if not keep:
-        return MonomialIdeal.unit(ideal.nvars)
-    return reduce(MonomialIdeal.intersect, keep)
+    n = ideal.nvars
+    if not 0 <= dim_bound <= n:
+        raise ValueError(f"dimension bound {dim_bound} outside 0..{n}")
+    keep = (
+        comp.bounds
+        for comp in irreducible_decomposition(ideal)
+        if comp.radical().quotient_dim() > dim_bound
+    )
+    gens = reduce(partial(_meet_irreducible, n), keep, None)
+    return MonomialIdeal.unit(n) if gens is None else _trusted_ideal(n, gens)

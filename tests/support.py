@@ -181,6 +181,23 @@ def raw_irreducible_components(gens, nvars: int):
     return components
 
 
+def raw_pure_powers(bounds, nvars: int):
+    """The generators of the irreducible ideal (x_i^c : (i, c) in bounds)."""
+    return [tuple(c if j == i else 0 for j in range(1, nvars + 1)) for i, c in bounds]
+
+
+def raw_dimension_filtration(gens, nvars: int, bound: int):
+    """The minimal generators of the largest ideal L with dim L/J <= bound:
+    the meet of the irreducible components of J (by the corner scan) whose
+    radical has quotient dimension above the bound, the unit ideal when
+    there are none."""
+    meet = [(0,) * nvars]
+    for comp in sorted(raw_irreducible_components(gens, nvars)):
+        if nvars - len(comp) > bound:
+            meet = raw_meet(meet, raw_pure_powers(comp, nvars))
+    return meet
+
+
 def hilbert_function(module: Subquotient, degree: int) -> int:
     """Number of monomials of the given degree in the numerator but not
     the denominator."""

@@ -27,16 +27,21 @@ from boreltype import (
     minimal_primes,
     primary_components,
 )
-from boreltype.decomposition import prime_sort_key
+from boreltype.decomposition import _meet_irreducible, prime_sort_key
 from boreltype.errors import ZeroModuleError
 
 from .support import (
     gens_of,
     modules,
+    nonunit_tuples,
     raw_associated_primes,
+    raw_dimension_filtration,
     raw_ideals,
     raw_irreducible_components,
+    raw_meet,
     raw_member,
+    raw_minimalize,
+    raw_pure_powers,
     tuples_up_to,
 )
 
@@ -100,6 +105,9 @@ class TestIrreducibleDecomposition:
     @given(gens=raw_ideals(3))
     @settings(deadline=None, max_examples=80)
     def test_intersection_recovers_ideal(self, gens):
+        """A cross-check: the components come from a fold of the meet with
+        irreducible ideals, and their intersection is tested here by plain
+        membership, which no decomposition route reads."""
         ideal = _ideal(3, gens)
         comps = irreducible_decomposition(ideal)
         bound = ideal.max_gen_degree() + 1
@@ -119,6 +127,49 @@ class TestIrreducibleDecomposition:
             for r in rest:
                 meet = meet.intersect(r)
             assert meet != ideal or not rest
+
+
+class TestMeetIrreducible:
+    """``_meet_irreducible`` against the lcms of all pairs, ``raw_meet``."""
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_raw_meet(self, data):
+        n = data.draw(st.integers(2, 6))
+        case = data.draw(st.sampled_from(("drawn", "unit", "power_inside", "unused")))
+        variables = data.draw(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+        )
+        bounds = sorted((i, data.draw(st.integers(1, 4))) for i in variables)
+        drawn = data.draw(st.lists(nonunit_tuples(n), min_size=1, max_size=6))
+        if case == "power_inside":
+            # a pure power of a bounded variable at or below its bound
+            i, c = data.draw(st.sampled_from(bounds))
+            drawn.append(raw_pure_powers([(i, data.draw(st.integers(1, c)))], n)[0])
+        elif case == "unused":
+            # a bounded variable that no generator uses
+            i = bounds[0][0]
+            drawn = [g[: i - 1] + (0,) + g[i:] for g in drawn]
+        if case == "unit":
+            gens, operand = None, [(0,) * n]
+        else:
+            operand = raw_minimalize(drawn)
+            gens = tuple(operand)
+        expected = raw_meet(operand, raw_pure_powers(bounds, n))
+        assert _meet_irreducible(n, gens, bounds) == tuple(sorted(expected))
+
+    def test_golden_cases(self):
+        powers = ((0, 0, 2), (0, 3, 0))
+        # the unit start gives the pure powers themselves, ascending
+        assert _meet_irreducible(3, None, [(2, 3), (3, 2)]) == powers
+        # every generator inside: the operand itself
+        gens = ((0, 0, 3), (0, 4, 0), (1, 1, 2))
+        assert _meet_irreducible(3, gens, [(2, 3), (3, 2)]) is gens
+        # x1 is used by no generator: every generator is raised
+        assert _meet_irreducible(3, ((0, 0, 1), (0, 1, 0)), [(1, 2)]) == (
+            (2, 0, 1),
+            (2, 1, 0),
+        )
 
 
 class TestTrustedValues:
@@ -279,6 +330,26 @@ class TestDimensionFiltration:
         with pytest.raises(ValueError):
             dimension_filtration(I(2, "x1"), 3)
 
+    def test_golden_three_levels(self):
+        J = I(4, "x1^2", "x1*x2", "x1*x3^2", "x2^2*x3*x4", "x3^3*x4^2")
+        assert [str(dimension_filtration(J, d)) for d in range(5)] == [
+            "(x3^3*x4^2, x2^2*x3*x4, x1*x3^2, x1*x2, x1^2)",
+            "(x3*x4, x1)",
+            "(1)",
+            "(1)",
+            "(1)",
+        ]
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_corner_scan_meet(self, data):
+        n = data.draw(st.integers(2, 5))
+        gens = data.draw(raw_ideals(n))
+        J = _ideal(n, gens)
+        for bound in range(n + 1):
+            expected = raw_dimension_filtration(gens, n, bound)
+            assert gens_of(dimension_filtration(J, bound)) == sorted(expected)
+
     @given(M=modules())
     @settings(deadline=None, max_examples=40)
     def test_filtration_increases_with_bound(self, M):
@@ -299,12 +370,45 @@ class TestPrimaryComponents:
     @given(M=modules())
     @settings(deadline=None, max_examples=60)
     def test_primary_components_intersect_to_ideal(self, M):
+        """A cross-check: the components are folded without the kernel's
+        ``intersect`` (``TestIntersectFreeRoutes``), which meets them here."""
         J = M.denominator
         comps = primary_components(J)
         meet = MonomialIdeal.unit(J.nvars)
         for _, component in comps:
             meet = meet.intersect(component)
         assert meet == J
+
+    def test_golden(self):
+        J = I(4, "x1^2", "x1*x2", "x1*x3^2", "x2^2*x3*x4", "x3^3*x4^2")
+        assert [(str(p), str(q)) for p, q in primary_components(J)] == [
+            ("x1,x2,x3", "(x3^3, x2^2, x1*x3^2, x1*x2, x1^2)"),
+            ("x1,x2,x4", "(x4^2, x2^2, x1)"),
+            ("x1,x3", "(x3, x1)"),
+            ("x1,x4", "(x4, x1)"),
+        ]
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_corner_scan_meet(self, data):
+        # each component is the meet of its radical's irreducible components,
+        # and the components above a dimension bound meet to the filtration
+        n = data.draw(st.integers(2, 5))
+        gens = data.draw(raw_ideals(n))
+        comps = primary_components(_ideal(n, gens))
+        scanned = raw_irreducible_components(gens, n)
+        for prime, component in comps:
+            expected = [(0,) * n]
+            for bounds in scanned:
+                if tuple(i for i, _ in bounds) == prime.variables:
+                    expected = raw_meet(expected, raw_pure_powers(bounds, n))
+            assert gens_of(component) == sorted(expected)
+        for bound in range(n + 1):
+            meet = [(0,) * n]
+            for prime, component in comps:
+                if prime.quotient_dim() > bound:
+                    meet = raw_meet(meet, gens_of(component))
+            assert sorted(meet) == sorted(raw_dimension_filtration(gens, n, bound))
 
     def test_radicals_are_ass(self):
         J = I(2, "x1^2", "x1*x2")

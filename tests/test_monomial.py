@@ -189,6 +189,12 @@ class TestIdealArithmetic:
     def test_colon_golden(self):
         assert I(2, "x1^2", "x1*x2").colon_monomial(monomial_from_text("x2", 2)) == I(2, "x1")
 
+    def test_colon_by_the_unit_is_the_ideal_itself(self):
+        for ideal in (I(3, "x1^2*x3", "x2^3"), MonomialIdeal.zero(3), MonomialIdeal.unit(3)):
+            assert ideal.colon_monomial(Monomial.unit(3)) is ideal
+        with pytest.raises(DimensionMismatchError):
+            I(3, "x1").colon_monomial(Monomial.unit(2))
+
     def test_intersection_golden(self):
         assert I(2, "x1").intersect(I(2, "x2")) == I(2, "x1*x2")
 
@@ -515,6 +521,46 @@ class TestSaturationFreeRoutes:
             cached.cache_clear()
         with pytest.raises(AssertionError):
             ideals[0].saturate((1,))
+        assert [self.routes(ideal) for ideal in ideals] == before
+
+
+class TestIntersectFreeRoutes:
+    """The decomposition routes never call the kernel's general meet: with
+    ``MonomialIdeal.intersect`` replaced by one that raises and every cache
+    cleared, associated primes, irreducible and primary decomposition and
+    the dimension filtration still compute, and give what they gave before.
+    So a test that meets their results with ``intersect`` is a cross-check,
+    not the same computation run twice."""
+
+    IDEALS = TestSaturationFreeRoutes.IDEALS + (
+        ("x1^3", "x2^2", "x1*x2*x3^2", "x3^4"),
+    )
+
+    CACHED = (associated_primes, irreducible_decomposition, primary_components)
+
+    def routes(self, ideal: MonomialIdeal):
+        module = Subquotient.cyclic(ideal)
+        sub = Subquotient(ideal.add(I(3, "x3")), ideal)
+        return (
+            associated_primes(module),
+            associated_primes(sub),
+            irreducible_decomposition(ideal),
+            primary_components(ideal),
+            [dimension_filtration(ideal, d) for d in range(ideal.nvars + 1)],
+        )
+
+    def test_routes_compute_without_intersect(self, monkeypatch):
+        ideals = [I(3, *gens) for gens in self.IDEALS]
+        before = [self.routes(ideal) for ideal in ideals]
+
+        def refuse(*args):
+            raise AssertionError("MonomialIdeal.intersect was called")
+
+        monkeypatch.setattr(MonomialIdeal, "intersect", refuse)
+        for cached in self.CACHED:
+            cached.cache_clear()
+        with pytest.raises(AssertionError):
+            ideals[0].intersect(ideals[1])
         assert [self.routes(ideal) for ideal in ideals] == before
 
 
