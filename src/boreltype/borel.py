@@ -129,60 +129,65 @@ def ideal_is_borel_type(ideal: MonomialIdeal) -> bool:
 
     As J : (x1..xj)^inf is the meet of the J : x_i^inf, i <= j, this asks
     J : x_j^inf inside J : x_i^inf for each i < j (the form of Herzog,
-    Popescu and Vladoiu, 2003): x_i^t u / x_j^{u_j} must lie in J for each
-    minimal generator u, t the largest exponent of x_i among J's generators.
+    Popescu and Vladoiu, 2003).  Containment is transitive, so the pairs
+    i = j - 1 decide every pair: x_{j-1}^t u / x_j^{u_j} must lie in J for
+    each minimal generator u, t the largest exponent of x_{j-1} among J's
+    generators.
     """
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("Borel type is undefined for the zero and unit ideals")
     tops = ideal.max_exponents()
     for u in ideal.exps:
         for j in range(1, ideal.nvars):
-            if not u[j]:
-                continue
-            for i in range(j):
+            if u[j]:
                 moved = list(u)
-                moved[i], moved[j] = u[i] + tops[i], 0
+                moved[j - 1], moved[j] = u[j - 1] + tops[j - 1], 0
                 if not ideal._member_exps(tuple(moved)):
                     return False
     return True
 
 
 def _unstable_pairs(module: Subquotient):
-    """Yield (K_i, K_j) for each pair j < i with K_j not containing K_i, where
-    K_i = (J : x_i) meet I: K_i/J is the submodule of M = I/J killed by x_i."""
+    """Yield (K_i, K_{i-1}) for each i with K_{i-1} not containing K_i, where
+    K_i = (J : x_i) meet I: K_i/J is the submodule of M = I/J killed by x_i.
+    Containment is transitive, so the consecutive pairs decide every pair."""
     n = module.nvars
     num, den = module.numerator, module.denominator
-    killed = [None] + [
+    killed = [
         den.colon_monomial(Monomial.variable(i, n)).intersect(num)
         for i in range(1, n + 1)
     ]
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            if not killed[j].contains(killed[i]):
-                yield killed[i], killed[j]
+    for k_j, k_i in zip(killed, killed[1:]):
+        if not k_j.contains(k_i):
+            yield k_i, k_j
 
 
 def is_strongly_stable_module(module: Subquotient) -> bool:
     """Whether the annihilator-of-x_i submodules shrink as i grows.
 
     The submodule of M = I/J killed by x_i is ((J : x_i) meet I)/J, so the
-    condition is an ideal containment for every pair j < i.
+    condition is an ideal containment for every pair j < i; by transitivity,
+    for every consecutive pair i - 1 < i.
     """
     return next(_unstable_pairs(module), None) is None
 
 
 def is_strongly_stable_ideal(ideal: MonomialIdeal) -> bool:
-    """Closure of the generators under the exchange moves x_j * u / x_i, j < i."""
+    """Closure of J under the exchange moves x_j * m / x_i, j < i, tested as
+    the adjacent move x_{i-1} * u / x_i on each minimal generator u.
+
+    That suffices: the adjacent move of any m = u w in J stays in J, as it
+    acts on u when u_i > 0 and on w otherwise, and every move x_j * m / x_i
+    is a chain of adjacent moves through monomials of J.
+    """
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("strong stability is undefined for the zero and unit ideals")
     for u in ideal.exps:
-        for i, e in enumerate(u):
-            if not e:
-                continue
-            for j in range(i):
+        for i in range(1, ideal.nvars):
+            if u[i]:
                 moved = list(u)
                 moved[i] -= 1
-                moved[j] += 1
+                moved[i - 1] += 1
                 if not ideal._member_exps(tuple(moved)):
                     return False
     return True
@@ -210,6 +215,9 @@ def truncation_stability_degree(module: Subquotient):
     the degree of every monomial of K_i outside K_j, for all j < i: those
     monomials span (K_i + K_j)/K_j, so each pair with K_j not containing K_i
     needs e = 1 + its top degree, and no e exists when it is not Artinian.
+    The consecutive pairs j = i - 1 admit the same degrees e as all pairs:
+    if (K_i)_{>=e} lies in K_{i-1}, it lies in (K_{i-1})_{>=e}, hence in
+    K_{i-2}, and so on down.  So only those pairs are read.
     """
     e = 0
     for k_i, k_j in _unstable_pairs(module):

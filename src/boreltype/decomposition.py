@@ -28,10 +28,10 @@ from .monomial import MonomialIdeal, _ideal_from_exps, _minimal_exps, _trusted_i
 from .subquotient import Subquotient
 
 # Entries kept by each of the decomposition memos (irreducible_decomposition,
-# primary_components, associated_primes).  Their hits come from within one
-# module's analysis, which meets about three distinct ideals or modules for
-# each in a check-stable round; unbounded, they kept every one of a run, about
-# 0.1 MB of irreducible components by the end of a round.
+# associated_primes).  Their hits come from within one module's analysis,
+# which meets about three distinct ideals or modules for each in a
+# check-stable round; unbounded, they kept every one of a run, about 0.1 MB
+# of irreducible components by the end of a round.
 DECOMPOSITION_MEMO_SIZE = 32
 
 
@@ -177,7 +177,6 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     return tuple(_trusted(IrreducibleComponent, n, b) for b in bounds)
 
 
-@lru_cache(maxsize=DECOMPOSITION_MEMO_SIZE)
 def primary_components(
     ideal: MonomialIdeal,
 ) -> tuple[tuple[MonomialPrime, MonomialIdeal], ...]:

@@ -28,8 +28,11 @@ def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> Monomial
 
 def exchange_closure_ideal(nvars: int, monomials) -> MonomialIdeal:
     """The ideal generated by the closure of the given monomials under the
-    moves x_j * u / x_i for j < i in the support of u, each one edit of u's
-    exponent tuple."""
+    moves x_j * u / x_i for j < i in the support of u.  Each such move is a
+    chain of adjacent moves x_{i-1} * u / x_i, so closing under those alone,
+    each one edit of u's exponent tuple, gives the same set."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
     seen = {u.exps for u in monomials}
     if any(len(u) != nvars for u in seen):
         raise DimensionMismatchError(
@@ -38,13 +41,12 @@ def exchange_closure_ideal(nvars: int, monomials) -> MonomialIdeal:
     queue = list(seen)
     while queue:
         u = queue.pop()
-        for i, e in enumerate(u):
-            if e:
-                for j in range(i):
-                    moved = (*u[:j], u[j] + 1, *u[j + 1 : i], e - 1, *u[i + 1 :])
-                    if moved not in seen:
-                        seen.add(moved)
-                        queue.append(moved)
+        for i in range(1, nvars):
+            if u[i]:
+                moved = (*u[: i - 1], u[i - 1] + 1, u[i] - 1, *u[i + 1 :])
+                if moved not in seen:
+                    seen.add(moved)
+                    queue.append(moved)
     return _ideal_from_exps(nvars, seen)
 
 

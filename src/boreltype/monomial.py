@@ -290,6 +290,8 @@ class MonomialIdeal:
 
         ``Monomial.variable`` checks each index, so the unit tuples are built
         without the constructor's checks."""
+        if nvars < 1:
+            raise ValueError("need at least one variable")
         return _ideal_from_exps(nvars, {Monomial.variable(i, nvars).exps for i in indices})
 
     @staticmethod

@@ -14,7 +14,10 @@ the package's colons in the order x_{r+1}, ..., x_n, never its torsion
 submodules or reductions; and raw_step_violations, which builds each
 filtration step's extension and colon ideals.  raw_stanley_witnesses reads
 the ideals of a chain step the package built and walks their exponent
-tuples itself.
+tuples itself, and raw_is_strongly_stable_module reads a module's two
+ideals the same way.  raw_ideal_is_borel_type, raw_is_strongly_stable_ideal,
+raw_exchange_closure and raw_is_strongly_stable_module compare every pair of
+indices, where the package compares consecutive ones.
 hilbert_function counts one degree of a module with the package's membership
 test; it is the independent check of Subquotient.artinian_hilbert.
 """
@@ -392,6 +395,80 @@ def raw_borel_verdict(module: Subquotient) -> BorelVerdict:
         pair_failures,
         prime_failures,
         primes,
+    )
+
+
+def raw_ideal_is_borel_type(gens) -> bool:
+    """J : x_j^inf inside J : x_i^inf for every pair i < j, read off the
+    generators: x_i^t u / x_j^{u_j} must lie in J for each minimal generator
+    u, t the largest exponent of x_i among the generators."""
+    gens = raw_minimalize(gens)
+    tops = [max(column) for column in zip(*gens)]
+    for u in gens:
+        for j in range(1, len(u)):
+            if not u[j]:
+                continue
+            for i in range(j):
+                moved = list(u)
+                moved[i], moved[j] = u[i] + tops[i], 0
+                if not raw_member(tuple(moved), gens):
+                    return False
+    return True
+
+
+def raw_is_strongly_stable_ideal(gens) -> bool:
+    """Every exchange move x_j * u / x_i, j < i, of every minimal generator u
+    lies in the ideal."""
+    gens = raw_minimalize(gens)
+    for u in gens:
+        for i, e in enumerate(u):
+            if not e:
+                continue
+            for j in range(i):
+                moved = list(u)
+                moved[i] -= 1
+                moved[j] += 1
+                if not raw_member(tuple(moved), gens):
+                    return False
+    return True
+
+
+def raw_exchange_closure(seeds) -> set:
+    """The closure of a set of exponent tuples under every exchange move
+    x_j * u / x_i for j < i in the support of u."""
+    seen = set(seeds)
+    queue = list(seen)
+    while queue:
+        u = queue.pop()
+        for i, e in enumerate(u):
+            if e:
+                for j in range(i):
+                    moved = (*u[:j], u[j] + 1, *u[j + 1 : i], e - 1, *u[i + 1 :])
+                    if moved not in seen:
+                        seen.add(moved)
+                        queue.append(moved)
+    return seen
+
+
+def raw_is_strongly_stable_module(module: Subquotient) -> bool:
+    """K_j contains K_i for every pair j < i, K_i = (J : x_i) meet I the
+    ideal whose quotient by J is the submodule of I/J killed by x_i.
+
+    J lies in every K_j and J : x_i contains J, so K_i = J + (J : x_i) meet
+    I' for I' the generators of I outside J, and K_j contains K_i exactly
+    when J : x_j contains (J : x_i) meet I'; the meets stay small where the
+    generators of J are many."""
+    n = module.nvars
+    num, den = gens_of(module.numerator), gens_of(module.denominator)
+    outside = [g for g in num if not raw_member(g, den)]
+    variables = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    colons = [raw_colon(den, x) for x in variables]
+    killed = [raw_meet(colon, outside) for colon in colons]
+    return all(
+        raw_member(g, colons[j])
+        for i in range(n)
+        for j in range(i)
+        for g in killed[i]
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boreltype import (
+    Monomial,
     MonomialIdeal,
     Subquotient,
     borel_verdict,
@@ -29,11 +30,18 @@ from boreltype.errors import (
 
 from .support import (
     gens_of,
+    ideal_of,
     modules,
     monomial_ideals,
     raw_associated_primes,
     raw_borel_verdict,
+    raw_exchange_closure,
+    raw_ideal_is_borel_type,
+    raw_ideals,
+    raw_is_strongly_stable_ideal,
+    raw_is_strongly_stable_module,
     raw_torsion_identity_report,
+    x1_recipe_modules,
 )
 
 
@@ -49,6 +57,26 @@ def borel_modules(draw, max_vars: int = 4):
     if M.is_zero() or not borel_verdict(M).is_borel:
         M = Subquotient.cyclic(exchange_closure_ideal(M.nvars, M.denominator.gens))
     return M
+
+
+def closure_seeds(max_vars: int = 6):
+    """One or two exponent tuples over 2..max_vars variables, small enough
+    that the all-moves closure stays a few hundred tuples."""
+    return st.integers(2, max_vars).flatmap(
+        lambda n: raw_ideals(n, max_gens=2, max_exp=2 if n <= 4 else 1)
+    )
+
+
+@st.composite
+def near_closures(draw):
+    """The exchange closure of drawn seeds, strongly stable, or half of the
+    time that closure less one minimal generator, which often is not."""
+    seeds = draw(closure_seeds())
+    n = len(seeds[0])
+    gens = gens_of(exchange_closure_ideal(n, map(Monomial, seeds)))
+    if len(gens) > 1 and draw(st.booleans()):
+        gens.pop(draw(st.integers(0, len(gens) - 1)))
+    return ideal_of(n, gens)
 
 
 class TestVerdict:
@@ -153,6 +181,12 @@ class TestIdealCriterion:
     def test_matches_module_route(self, J):
         assert ideal_is_borel_type(J) == borel_verdict(Subquotient.cyclic(J)).is_borel
 
+    @given(J=st.one_of(monomial_ideals(max_vars=6), near_closures()))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_all_pairs_reference(self, J):
+        # the package tests the consecutive pairs (j - 1, j) only
+        assert ideal_is_borel_type(J) == raw_ideal_is_borel_type(gens_of(J))
+
     @given(J=monomial_ideals())
     @settings(deadline=None, max_examples=80)
     def test_matches_associated_primes_by_box_search(self, J):
@@ -208,6 +242,28 @@ class TestStronglyStable:
             Subquotient.cyclic(J)
         )
 
+    @given(J=st.one_of(monomial_ideals(max_vars=6), near_closures()))
+    @settings(deadline=None, max_examples=150)
+    def test_ideal_matches_all_moves_reference(self, J):
+        # the package tests the adjacent moves x_{i-1} * u / x_i only
+        assert is_strongly_stable_ideal(J) == raw_is_strongly_stable_ideal(gens_of(J))
+
+    @given(
+        M=st.one_of(
+            modules(max_vars=6),
+            # the raw colons minimalize in quadratic time, and an x1-recipe
+            # closure of exponents up to 3 in six variables can hold 1500
+            # generators, so its exponents are capped
+            x1_recipe_modules(min_vars=2, max_vars=5, max_exp=2),
+            x1_recipe_modules(min_vars=2, max_vars=6, max_exp=1),
+            near_closures().map(Subquotient.cyclic),
+        )
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_module_matches_all_pairs_reference(self, M):
+        # the package compares consecutive K_i only
+        assert is_strongly_stable_module(M) == raw_is_strongly_stable_module(M)
+
     @given(M=modules())
     @settings(deadline=None, max_examples=80)
     def test_strongly_stable_implies_borel(self, M):
@@ -221,6 +277,14 @@ class TestStronglyStable:
         assert is_strongly_stable_ideal(closed)
         assert closed.contains(J)
 
+    @given(seeds=closure_seeds())
+    @settings(deadline=None, max_examples=100)
+    def test_exchange_closure_matches_all_moves_reference(self, seeds):
+        # the package closes under the adjacent moves only
+        n = len(seeds[0])
+        closed = exchange_closure_ideal(n, [Monomial(u) for u in seeds])
+        assert closed == ideal_of(n, raw_exchange_closure(seeds))
+
     def test_exchange_closure_golden(self):
         # x2*x3 moves to x1*x3, x2^2 and x1*x2, and those on to x1^2
         closed = exchange_closure_ideal(3, I(3, "x2*x3").gens)
@@ -232,13 +296,23 @@ class TestStronglyStable:
         with pytest.raises(DimensionMismatchError, match=message):
             exchange_closure_ideal(3, I(2, "x2").gens)
 
+    @pytest.mark.parametrize("nvars", [0, -2])
+    def test_exchange_closure_refuses_fewer_than_one_variable(self, nvars):
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            exchange_closure_ideal(nvars, [])
+
 
 def assert_least_degree_matches_scan(M, scan_to=6):
-    """Subquotient.truncate is the oracle: a degree the scan over e <= scan_to
-    finds is the least degree, and a scan that finds none leaves the degree
-    None or past scan_to."""
+    """Subquotient.truncate, with each truncation's stability tested on all
+    pairs by the raw reference, is the oracle: a degree the scan over
+    e <= scan_to finds is the least degree, and a scan that finds none leaves
+    the degree None or past scan_to."""
     found = next(
-        (e for e in range(scan_to + 1) if is_strongly_stable_module(M.truncate(e))),
+        (
+            e
+            for e in range(scan_to + 1)
+            if raw_is_strongly_stable_module(M.truncate(e))
+        ),
         None,
     )
     degree = truncation_stability_degree(M)
